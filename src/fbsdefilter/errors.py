@@ -10,7 +10,9 @@ class ConfigurationError(FilterError, ValueError):
 
 
 class ModelBlowUpError(FilterError, FloatingPointError):
-    """SDE stepping produced a non-finite state."""
+    """SDE stepping produced non-finite states, at flat batch positions ``rows``."""
+
+    rows = ()
 
 
 class ContractionError(FilterError, ArithmeticError):

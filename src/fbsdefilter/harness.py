@@ -572,8 +572,9 @@ def _run_single_replication(model: StateSpaceModel, cfg: ExperimentConfig,
     states = run_filter(model, obs, fcfg,
                         on_step=lambda s: write_checkpoint(s, rep_dir))
 
-    post_mean = np.stack([_posterior_mean_std(s)[0] for s in states])
-    post_std = np.stack([_posterior_mean_std(s)[1] for s in states])
+    moments = [_posterior_mean_std(s) for s in states]
+    post_mean = np.stack([mean for mean, _std in moments])
+    post_std = np.stack([std for _mean, std in moments])
     pf = bootstrap_pf(model, grid, obs, fcfg.n_particles, rep_seed)
 
     oracle_mean = oracle_std = None

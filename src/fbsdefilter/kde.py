@@ -44,14 +44,21 @@ def _as_points(x, dim: int) -> tuple[Array, bool]:
     raise ConfigurationError(f"cannot interpret points of shape {x.shape} in dimension {dim}")
 
 
+def _bumps(points: Array, centers: Array, bandwidths) -> tuple[Array, Array]:
+    """Squared distances and bumps of ``(..., d)`` points against ``(L, d)`` centers.
+
+    Both have shape ``(..., L)``; this is the one place the bump is computed.
+    """
+    diff = points[..., None, :] - centers
+    sq = (diff * diff).sum(axis=-1)
+    return sq, np.exp(-sq / bandwidths ** 2)
+
+
 def phi(x, center, bandwidth: float):
-    """Unnormalized Gaussian bump exp(-|x - center|^2 / bandwidth^2)."""
-    diff = np.asarray(x, dtype=float) - np.asarray(center, dtype=float)
-    if diff.ndim == 0:
-        sq = diff * diff
-    else:
-        sq = (diff * diff).sum(axis=-1)
-    return np.exp(-sq / float(bandwidth) ** 2)
+    """Unnormalized Gaussian bump exp(-|x - center|^2 / bandwidth^2) around one center."""
+    center = np.asarray(center, dtype=float).reshape(1, -1)
+    _sq, bump = _bumps(np.atleast_1d(np.asarray(x, dtype=float)), center, float(bandwidth))
+    return bump[..., 0]
 
 
 @dataclass
@@ -88,9 +95,8 @@ class KernelDensity:
     def eval(self, x):
         """Mixture value at x; scalar in, scalar out, batch in, batch out."""
         pts, single = _as_points(x, self.dim)
-        diff = pts[:, None, :] - self.centers[None, :, :]
-        sq = (diff * diff).sum(axis=-1)
-        vals = (np.exp(-sq / self.bandwidths ** 2) * self.weights).sum(axis=-1)
+        _sq, bumps = _bumps(pts, self.centers, self.bandwidths)
+        vals = (bumps * self.weights).sum(axis=-1)
         return float(vals[0]) if single else vals
 
     def component_integrals(self) -> Array:
@@ -263,17 +269,16 @@ def plugin_density_sup(values: Iterable[float]) -> float:
 def parzen_estimate(samples: Array, spec: BandwidthSpec, x):
     """Fixed-bandwidth average-of-kernels density estimate at x.
 
-    Uses the standard normal kernel and the closed-form bandwidth from
-    ``spec``; ``spec.n`` must match the number of samples.
+    Uses the standard normal kernel, i.e. the normalised bump at bandwidth
+    ``sqrt(2) * h``, with the closed-form bandwidth ``h`` from ``spec``;
+    ``spec.n`` must match the number of samples.
     """
     pts, _ = _as_points(samples, spec.dim)
     if pts.shape[0] != spec.n:
         raise ConfigurationError(f"spec.n={spec.n} but {pts.shape[0]} samples given")
     query, single = _as_points(x, spec.dim)
     h = spec.bandwidth
-    diff = (query[:, None, :] - pts[None, :, :]) / h
-    sq = (diff * diff).sum(axis=-1)
+    _sq, bumps = _bumps(query, pts, math.sqrt(2.0) * h)
     kernel_norm = (2.0 * math.pi) ** (-spec.dim / 2.0)
-    vals = kernel_norm * np.exp(-0.5 * sq)
-    out = vals.mean(axis=1) / h ** spec.dim
+    out = (kernel_norm * bumps).mean(axis=1) / h ** spec.dim
     return float(out[0]) if single else out

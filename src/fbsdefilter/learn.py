@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergentLearningError
-from .kde import SQRT_PI, KernelDensity
+from .kde import SQRT_PI, KernelDensity, _bumps
 from .predict import ParticleCloud
 
 Array = np.ndarray
@@ -111,21 +111,29 @@ def select_centers(cloud: ParticleCloud, n_kernels: int, rule: str,
     return cloud.locations[order][rows]
 
 
+def _pair_gradients(x: Array, y: float, centers: Array, weights: Array,
+                    bandwidths: Array) -> tuple[float, Array, Array, Array, Array]:
+    """Residual at one training pair, its two gradients, squared distances and bumps.
+
+    The weight gradient is ``2 r bump``; the bandwidth gradient multiplies it
+    by the weight and ``2 |x - center|^2 / bandwidth^3``.
+    """
+    sq, bumps = _bumps(x, centers, bandwidths)
+    resid = float((weights * bumps).sum() - y)
+    grad_w = 2.0 * resid * bumps
+    grad_b = grad_w * weights * (2.0 * sq / bandwidths ** 3)
+    return resid, grad_w, grad_b, sq, bumps
+
+
 def loss_and_gradients(kd: KernelDensity, x, y: float) -> tuple[float, Array, Array]:
     """Squared residual at one training pair and its analytic gradients.
 
     Returns ``(loss, d loss / d weights, d loss / d bandwidths)`` with the
     bandwidth gradient carrying the factor ``2 |x - center|^2 / bandwidth^3``.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = float(np.squeeze(y))
-    diff = x[None, :] - kd.centers
-    sq = (diff * diff).sum(axis=1)
-    bumps = np.exp(-sq / kd.bandwidths ** 2)
-    resid = float((kd.weights * bumps).sum() - y)
-    dist_factor = 2.0 * sq / kd.bandwidths ** 3
-    grad_w = 2.0 * resid * bumps
-    grad_b = 2.0 * resid * kd.weights * bumps * dist_factor
+    resid, grad_w, grad_b, _, _ = _pair_gradients(
+        np.asarray(x, dtype=float).ravel(), float(np.squeeze(y)),
+        kd.centers, kd.weights, kd.bandwidths)
     return resid * resid, grad_w, grad_b
 
 
@@ -138,9 +146,7 @@ def full_loss(kd: KernelDensity, locations: Array, targets: Array) -> float:
 def full_gradient_norm(kd: KernelDensity, locations: Array, targets: Array) -> float:
     """Euclidean norm of the average-loss gradient over both parameter blocks."""
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
-    diff = locations[:, None, :] - kd.centers[None, :, :]
-    sq = (diff * diff).sum(axis=-1)
-    bumps = np.exp(-sq / kd.bandwidths ** 2)
+    sq, bumps = _bumps(locations, kd.centers, kd.bandwidths)
     resid = (bumps * kd.weights).sum(axis=1) - np.asarray(targets, dtype=float)
     grad_w = 2.0 * (resid[:, None] * bumps).mean(axis=0)
     grad_b = 2.0 * (resid[:, None] * bumps * (2.0 * sq / kd.bandwidths ** 3)
@@ -193,16 +199,12 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
 
     for s in range(1, steps + 1):
         idx = int(rng.integers(n))
-        diff = locations[idx] - centers
-        sq = (diff * diff).sum(axis=1)
-        bumps = np.exp(-sq / bandwidths ** 2)
-        resid = float((weights * bumps).sum() - targets[idx])
+        resid, grad_w, grad_b, _, _ = _pair_gradients(
+            locations[idx], targets[idx], centers, weights, bandwidths)
         trace[s] = resid * resid
         picks[s] = idx
         rate_w, rate_b = cfg.rate_at(s)
-        scaled = 2.0 * resid * bumps
-        grad_b = scaled * weights * (2.0 * sq / bandwidths ** 3)
-        weights = weights - rate_w * scaled
+        weights = weights - rate_w * grad_w
         bandwidths = bandwidths - rate_b * grad_b
         low = bandwidths < floor
         if np.any(low):
@@ -232,11 +234,9 @@ def hessian(kd: KernelDensity, x, y: float, asymptotic: bool = False) -> Array:
     regime where the mixture already interpolates the data), leaving exactly
     twice the outer product of the first-derivative factor vector.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = float(np.squeeze(y))
-    diff = x[None, :] - kd.centers
-    sq = (diff * diff).sum(axis=1)
-    bumps = np.exp(-sq / kd.bandwidths ** 2)
+    resid, _, _, sq, bumps = _pair_gradients(
+        np.asarray(x, dtype=float).ravel(), float(np.squeeze(y)),
+        kd.centers, kd.weights, kd.bandwidths)
     dist_factor = 2.0 * sq / kd.bandwidths ** 3
     bw_sens = kd.weights * bumps * dist_factor
 
@@ -244,7 +244,6 @@ def hessian(kd: KernelDensity, x, y: float, asymptotic: bool = False) -> Array:
     block_bb = 2.0 * np.outer(bw_sens, bw_sens)
     block_wb = 2.0 * np.outer(bumps, bw_sens)
     if not asymptotic:
-        resid = float((kd.weights * bumps).sum() - y)
         curvature = dist_factor ** 2 - 6.0 * sq / kd.bandwidths ** 4
         block_bb[np.diag_indices_from(block_bb)] += \
             2.0 * resid * kd.weights * bumps * curvature

@@ -180,13 +180,26 @@ class TimeGrid:
 
 
 def _check_finite_state(x: Array, t: float, origin: Array) -> None:
-    if not np.all(np.isfinite(x)):
-        bad = np.asarray(x)
-        idx = np.argwhere(~np.isfinite(bad))
-        raise ModelBlowUpError(
+    finite = np.isfinite(x)
+    if not np.all(finite):
+        idx = np.argwhere(~finite)
+        err = ModelBlowUpError(
             f"non-finite state at t={t:.6g} (first bad entry index {tuple(idx[0])}); "
             f"stepped from {np.asarray(origin).ravel()[:4]}"
         )
+        err.rows = np.flatnonzero(~finite.reshape(-1, x.shape[-1]).all(axis=1))
+        raise err
+
+
+def _sde_step(model: StateSpaceModel, t: float, x: Array, dt: float, dW: Array,
+              sign: float) -> Array:
+    """x + sign * drift(x) dt + diffusion(t) dW, checked for finite output."""
+    if dt < 0:
+        raise ConfigurationError("dt must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    out = x + sign * model.drift(x) * dt + matvec(model.diffusion(t), dW)
+    _check_finite_state(out, t, x)
+    return out
 
 
 def euler_step(model: StateSpaceModel, t: float, x: Array, dt: float,
@@ -196,25 +209,13 @@ def euler_step(model: StateSpaceModel, t: float, x: Array, dt: float,
     ``dW`` is supplied by the caller (N(0, dt I) for a plain step) so runs are
     reproducible and couplings with reference solutions are possible.
     """
-    if dt < 0:
-        raise ConfigurationError("dt must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    out = x + model.drift(x) * dt + matvec(model.diffusion(t), dW)
-    _check_finite_state(out, t, x)
-    return out
+    return _sde_step(model, t, x, dt, dW, 1.0)
 
 
 def backward_sample(model: StateSpaceModel, t_k: float, x_k: Array, dt: float,
                     dW: Array) -> Array:
     """Reverse-time sample: x_k - drift(x_k) dt + diffusion(t_k) dW."""
-    if dt < 0:
-        raise ConfigurationError("dt must be nonnegative")
-    x_k = np.asarray(x_k, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    out = x_k - model.drift(x_k) * dt + matvec(model.diffusion(t_k), dW)
-    _check_finite_state(out, t_k, x_k)
-    return out
+    return _sde_step(model, t_k, x_k, dt, dW, -1.0)
 
 
 def simulate_truth(model: StateSpaceModel, grid: TimeGrid, seed: int,

@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractionError, FilterError
-from .model import StateSpaceModel, TimeGrid, matvec
+from .errors import ConfigurationError, ContractionError, FilterError, ModelBlowUpError
+from .model import StateSpaceModel, TimeGrid, backward_sample, euler_step
 from .rngs import substream
 
 Array = np.ndarray
@@ -25,6 +25,9 @@ VARIANTS = ("right_point_fixed_point", "left_point")
 # Iterates beyond this multiple of the data scale mean the drift-divergence
 # correction is not a contraction at the configured step size.
 DIVERGENCE_FACTOR = 1e6
+
+# Particle ids of the single anchor a scalar entry point evaluates.
+_SCALAR_IDS = np.zeros(1, dtype=np.int64)
 
 
 @dataclass
@@ -91,24 +94,80 @@ class PredictConfig:
             raise ConfigurationError(f"variant must be one of {VARIANTS}")
 
 
-def _backward_batch(model: StateSpaceModel, t_k: float, x_k: Array, dt: float,
-                    dW: Array) -> Array:
-    """Reverse-time samples from a single anchor point for a (m, d_w) noise block."""
-    x_k = np.asarray(x_k, dtype=float)
-    return x_k - model.drift(x_k) * dt + matvec(np.asarray(model.diffusion(t_k), dtype=float), dW)
+def _density_values(f: Callable[[Array], Array], points: Array, ids: Array,
+                    what: str, where: str) -> Array:
+    """``f`` at ``(n * m, dim)`` points, m per particle of ``ids``, checked.
 
-
-def _eval_density(f: Callable[[Array], Array], points: Array, label: str) -> Array:
+    A wrong output shape is a configuration error; a non-finite value names
+    the particle ids it belongs to.
+    """
     vals = np.asarray(f(points), dtype=float)
     if vals.shape != points.shape[:1]:
         raise ConfigurationError(
-            f"{label} must map (n, dim) points to n values; got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            f"density must map (n, dim) points to n values; got shape "
+            f"{vals.shape} for {points.shape[0]} points")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        rows = np.unique(bad // (vals.size // ids.size))
         raise FilterError(
-            f"{label} returned a non-finite value at reverse sample {bad}: "
-            f"{points[bad]}")
+            f"density returned non-finite values at the {what} of particle ids "
+            f"{ids[rows][:8].tolist()}{where}, first at {points[bad[0]]}")
     return vals
+
+
+def _prior_values(f: Callable[[Array], Array], model: StateSpaceModel, t_k: float,
+                  anchors: Array, dt: float, noise: Array, cfg: PredictConfig | None,
+                  ids: Array, where: str = "") -> Array:
+    """Prior values at ``(n, dim)`` anchors from an ``(n, m, d_w)`` normal block.
+
+    ``cfg=None`` gives the plain Monte Carlo mean of ``f`` over the reverse
+    samples; otherwise ``cfg.variant`` picks the discretization.  Every
+    reduction runs along the sample axis of one row, so a row's value does
+    not depend on how many anchors share the call.
+    """
+    if dt < 0:
+        raise ConfigurationError("dt must be nonnegative")
+    n, m = noise.shape[:2]
+    try:
+        points = backward_sample(model, t_k, anchors[:, None, :], dt,
+                                 math.sqrt(dt) * noise)
+    except ModelBlowUpError as err:
+        raise ModelBlowUpError(
+            f"non-finite reverse samples for particle ids "
+            f"{ids[np.unique(err.rows // m)][:8].tolist()}{where}") from err
+    flat = points.reshape(n * m, -1)
+    vals = _density_values(f, flat, ids, "reverse samples", where).reshape(n, m)
+    if cfg is None:
+        return vals.mean(axis=1)
+    if cfg.variant == "left_point":
+        div = np.asarray(model.drift_divergence(flat), dtype=float).reshape(n, m)
+        return vals.mean(axis=1) - (div * vals).mean(axis=1) * dt
+
+    # right point: damped fixed-point recursion started at f(anchor)
+    y = _density_values(f, anchors, ids, "forward locations", where)
+    div = np.asarray(model.drift_divergence(anchors), dtype=float)
+    if cfg.decouple_mc:
+        prefix = np.broadcast_to(vals.mean(axis=1)[:, None], (n, m))
+    else:
+        prefix = np.cumsum(vals, axis=1) / np.arange(1, m + 1)
+    cap = DIVERGENCE_FACTOR * max(float(np.max(np.abs(y))),
+                                  float(np.max(np.abs(vals))), 1e-300)
+    for j in range(m):
+        y = prefix[:, j] - div * y * dt
+        if np.any(np.abs(y) > cap):
+            raise ContractionError(
+                "fixed-point iteration diverged (divergence * dt too large); "
+                "reduce the step size")
+    return y
+
+
+def _scalar_value(f: Callable[[Array], Array], model: StateSpaceModel, t_k: float,
+                  x_k: Array, dt: float, mc_samples: int, cfg: PredictConfig | None,
+                  rng: np.random.Generator) -> float:
+    """``_prior_values`` for the single anchor ``x_k`` (n = 1)."""
+    noise = rng.standard_normal((1, mc_samples, model.dim_noise))
+    anchor = np.asarray(x_k, dtype=float).reshape(1, -1)
+    return float(_prior_values(f, model, t_k, anchor, dt, noise, cfg, _SCALAR_IDS)[0])
 
 
 def mc_conditional_expectation(f: Callable[[Array], Array], model: StateSpaceModel,
@@ -117,25 +176,7 @@ def mc_conditional_expectation(f: Callable[[Array], Array], model: StateSpaceMod
     """Plain Monte Carlo mean of f over reverse-time samples from x_k."""
     if mc_samples < 1:
         raise ConfigurationError("mc_samples must be >= 1")
-    if dt < 0:
-        raise ConfigurationError("dt must be nonnegative")
-    dW = math.sqrt(dt) * rng.standard_normal((mc_samples, model.dim_noise))
-    points = _backward_batch(model, t_k, np.asarray(x_k, dtype=float), dt, dW)
-    vals = _eval_density(f, points, "integrand")
-    return float(np.mean(vals))
-
-
-def _iterate_right_point(prefix_means: Array, y0, div, dt: float, cap) -> Array:
-    """Run the damped fixed-point recursion; shapes broadcast over particles."""
-    y = y0
-    n_iter = prefix_means.shape[-1]
-    for m in range(n_iter):
-        y = prefix_means[..., m] - div * y * dt
-        if np.any(np.abs(y) > cap):
-            raise ContractionError(
-                "fixed-point iteration diverged (divergence * dt too large); "
-                "reduce the step size")
-    return y
+    return _scalar_value(f, model, t_k, x_k, dt, mc_samples, None, rng)
 
 
 def predict_value_right_point(prev_density: Callable[[Array], Array],
@@ -149,21 +190,7 @@ def predict_value_right_point(prev_density: Callable[[Array], Array],
     """
     if cfg.variant != "right_point_fixed_point":
         raise ConfigurationError("cfg.variant must be 'right_point_fixed_point'")
-    if dt < 0:
-        raise ConfigurationError("dt must be nonnegative")
-    x_k = np.asarray(x_k, dtype=float)
-    m = cfg.mc_samples
-    y0 = float(_eval_density(prev_density, x_k[None, :], "prev_density")[0])
-    dW = math.sqrt(dt) * rng.standard_normal((m, model.dim_noise))
-    points = _backward_batch(model, t_k, x_k, dt, dW)
-    vals = _eval_density(prev_density, points, "prev_density")
-    if cfg.decouple_mc:
-        prefix = np.full(m, np.mean(vals))
-    else:
-        prefix = np.cumsum(vals) / np.arange(1, m + 1)
-    div = float(model.drift_divergence(x_k))
-    cap = DIVERGENCE_FACTOR * max(abs(y0), float(np.max(np.abs(vals))), 1e-300)
-    return float(_iterate_right_point(prefix, y0, div, dt, cap))
+    return _scalar_value(prev_density, model, t_k, x_k, dt, cfg.mc_samples, cfg, rng)
 
 
 def predict_value_left_point(prev_density: Callable[[Array], Array],
@@ -177,14 +204,7 @@ def predict_value_left_point(prev_density: Callable[[Array], Array],
     """
     if cfg.variant != "left_point":
         raise ConfigurationError("cfg.variant must be 'left_point'")
-    if dt < 0:
-        raise ConfigurationError("dt must be nonnegative")
-    x_k = np.asarray(x_k, dtype=float)
-    dW = math.sqrt(dt) * rng.standard_normal((cfg.mc_samples, model.dim_noise))
-    points = _backward_batch(model, t_k, x_k, dt, dW)
-    vals = _eval_density(prev_density, points, "prev_density")
-    div = np.asarray(model.drift_divergence(points), dtype=float)
-    return float(np.mean(vals) - np.mean(div * vals) * dt)
+    return _scalar_value(prev_density, model, t_k, x_k, dt, cfg.mc_samples, cfg, rng)
 
 
 def predict_cloud(prev_cloud: ParticleCloud, prev_density: Callable[[Array], Array],
@@ -193,15 +213,15 @@ def predict_cloud(prev_cloud: ParticleCloud, prev_density: Callable[[Array], Arr
     """Advance a posterior cloud one step and attach prior density values.
 
     Locations move forward by an explicit Euler step; values follow the
-    configured variant, computed in one vectorized pass whose per-particle
-    results are bit-identical to the scalar entry points on the same streams.
+    configured variant through the same path as the scalar entry points, so
+    each particle's value is bit-identical to theirs on the same streams.
     Values are clamped at zero only here, at the stage boundary.
     """
     dt = grid.dt(k)
-    t_prev, t_k = grid.time(k - 1), grid.time(k)
     n = prev_cloud.n_particles
     d_w = model.dim_noise
     m = cfg.mc_samples
+    where = f" at step {k}"
 
     fwd_noise = np.empty((n, d_w))
     bwd_noise = np.empty((n, m, d_w))
@@ -209,45 +229,15 @@ def predict_cloud(prev_cloud: ParticleCloud, prev_density: Callable[[Array], Arr
         fwd_noise[row] = substream(seed, "predict-forward", k, pid).standard_normal(d_w)
         bwd_noise[row] = substream(seed, "predict-backward", k, pid).standard_normal((m, d_w))
 
-    sig_prev = np.asarray(model.diffusion(t_prev), dtype=float)
-    forward = prev_cloud.locations + model.drift(prev_cloud.locations) * dt \
-        + matvec(sig_prev, math.sqrt(dt) * fwd_noise)
-    if not np.all(np.isfinite(forward)):
-        bad = np.flatnonzero(~np.isfinite(forward).all(axis=1))
-        raise FilterError(
+    try:
+        forward = euler_step(model, grid.time(k - 1), prev_cloud.locations, dt,
+                             math.sqrt(dt) * fwd_noise)
+    except ModelBlowUpError as err:
+        raise ModelBlowUpError(
             f"forward propagation produced non-finite states for particle ids "
-            f"{prev_cloud.ids[bad][:8].tolist()} at step {k}")
-
-    sig_k = np.asarray(model.diffusion(t_k), dtype=float)
-    points = forward[:, None, :] - model.drift(forward)[:, None, :] * dt \
-        + matvec(sig_k, math.sqrt(dt) * bwd_noise)
-    flat_vals = np.asarray(prev_density(points.reshape(n * m, -1)), dtype=float)
-    if flat_vals.shape != (n * m,):
-        raise ConfigurationError(
-            f"prev_density must map (n, dim) points to n values; got shape "
-            f"{flat_vals.shape} for {n * m} points")
-    if not np.all(np.isfinite(flat_vals)):
-        bad_rows = np.unique(np.flatnonzero(~np.isfinite(flat_vals)) // m)
-        raise FilterError(
-            f"previous density returned non-finite values for particle ids "
-            f"{prev_cloud.ids[bad_rows][:8].tolist()} at step {k}")
-    vals = flat_vals.reshape(n, m)
-
-    if cfg.variant == "right_point_fixed_point":
-        y0 = np.asarray(prev_density(forward), dtype=float)
-        div = np.asarray(model.drift_divergence(forward), dtype=float)
-        if cfg.decouple_mc:
-            prefix = np.broadcast_to(vals.mean(axis=1)[:, None], (n, m))
-        else:
-            prefix = np.cumsum(vals, axis=1) / np.arange(1, m + 1)
-        cap = DIVERGENCE_FACTOR * max(float(np.max(np.abs(y0))),
-                                      float(np.max(np.abs(vals))), 1e-300)
-        values = _iterate_right_point(prefix, y0, div, dt, cap)
-    else:
-        div = np.asarray(model.drift_divergence(points.reshape(n * m, -1)),
-                         dtype=float).reshape(n, m)
-        values = vals.mean(axis=1) - (div * vals).mean(axis=1) * dt
-
+            f"{prev_cloud.ids[err.rows][:8].tolist()}{where}") from err
+    values = _prior_values(prev_density, model, grid.time(k), forward, dt, bwd_noise,
+                           cfg, prev_cloud.ids, where)
     return ParticleCloud(k=k, locations=forward,
                          values=np.maximum(values, 0.0), stage="prior",
                          ids=prev_cloud.ids.copy())

@@ -39,6 +39,16 @@ class TestPhi:
         val = float(phi(x, c, bw))
         assert 0.0 < val <= 1.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equals_single_component_mixture_bitwise(self, dim):
+        rng = substream(30, "phi-vs-eval", dim)
+        c = rng.standard_normal(dim)
+        b = 0.3 + rng.random()
+        x = 2.0 * rng.standard_normal((25, dim))
+        kd = KernelDensity([c], [1.0], [b])
+        assert np.array_equal(phi(x, c, b), kd.eval(x if dim > 1 else x[:, 0]))
+        assert phi(x[0], c, b) == kd.eval(x[0] if dim > 1 else x[0, 0])
+
 
 class TestEval:
     def test_single_component_at_center(self):

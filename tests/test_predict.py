@@ -5,7 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fbsdefilter.errors import ConfigurationError, ContractionError, FilterError
+from fbsdefilter.errors import (
+    ConfigurationError,
+    ContractionError,
+    FilterError,
+    ModelBlowUpError,
+)
 from fbsdefilter.harness import fit_loglog_slope
 from fbsdefilter.model import TimeGrid, euler_step, get_model
 from fbsdefilter.predict import (
@@ -246,26 +251,28 @@ class TestPredictCloud:
         assert np.array_equal(moved.ids, base.ids[perm])
 
     def test_batched_values_match_scalar_entry_points(self):
-        model = get_model("linear1d")
         grid = self._grid()
-        rng = substream(15, "cloud-scalar")
+        dt = grid.dt(1)
         n = 6
-        cloud = ParticleCloud(k=0, locations=rng.standard_normal((n, 1)),
-                              values=np.abs(rng.standard_normal(n)), stage="posterior")
-        f = gauss_density(0.1, 0.9)
-        for variant, fn in (("right_point_fixed_point", predict_value_right_point),
-                            ("left_point", predict_value_left_point)):
-            cfg = PredictConfig(mc_samples=16, variant=variant)
-            out = predict_cloud(cloud, f, model, grid, 1, cfg, seed=33)
-            dt = grid.dt(1)
-            for row in range(n):
-                fwd_noise = substream(33, "predict-forward", 1, row).standard_normal(1)
-                forward = euler_step(model, grid.time(0), cloud.locations[row], dt,
-                                     math.sqrt(dt) * fwd_noise)
-                scalar = fn(f, model, grid.time(1), forward, dt, cfg,
-                            substream(33, "predict-backward", 1, row))
-                assert out.locations[row, 0] == forward[0]
-                assert out.values[row] == max(scalar, 0.0)
+        for name, f in (("linear1d", gauss_density(0.1, 0.9)),
+                        ("linear2d", get_model("linear2d").initial_density)):
+            model = get_model(name)
+            d_w = model.dim_noise
+            rng = substream(15, "cloud-scalar", model.dim_state)
+            cloud = ParticleCloud(k=0, locations=rng.standard_normal((n, model.dim_state)),
+                                  values=np.abs(rng.standard_normal(n)), stage="posterior")
+            for variant, fn in (("right_point_fixed_point", predict_value_right_point),
+                                ("left_point", predict_value_left_point)):
+                cfg = PredictConfig(mc_samples=16, variant=variant)
+                out = predict_cloud(cloud, f, model, grid, 1, cfg, seed=33)
+                for row in range(n):
+                    fwd_noise = substream(33, "predict-forward", 1, row).standard_normal(d_w)
+                    forward = euler_step(model, grid.time(0), cloud.locations[row], dt,
+                                         math.sqrt(dt) * fwd_noise)
+                    scalar = fn(f, model, grid.time(1), forward, dt, cfg,
+                                substream(33, "predict-backward", 1, row))
+                    assert np.array_equal(out.locations[row], forward)
+                    assert out.values[row] == max(scalar, 0.0)
 
     def test_one_step_values_against_quadrature(self):
         model = get_model("ou1d")
@@ -293,6 +300,54 @@ class TestPredictCloud:
         with pytest.raises(ConfigurationError, match="values"):
             predict_cloud(cloud, lambda pts: np.ones((len(pts), 2)), model,
                           self._grid(), 1, PredictConfig(mc_samples=4), seed=0)
+
+
+    def _cloud(self, locations, ids):
+        return ParticleCloud(k=0, locations=locations, values=np.ones(len(ids)),
+                             stage="posterior", ids=ids)
+
+    def test_nonfinite_density_at_forward_location_names_particle(self):
+        model = get_model("linear1d")
+        cloud = self._cloud([[0.0], [0.5], [1.0]], [5, 9, 2])
+
+        def nan_at_second_anchor(pts):
+            out = np.ones(len(pts))
+            if len(pts) == 3:  # the forward locations, not the 3 * 4 reverse samples
+                out[1] = np.nan
+            return out
+
+        with pytest.raises(FilterError, match=r"forward locations of particle ids \[9\]"):
+            predict_cloud(cloud, nan_at_second_anchor, model, self._grid(), 1,
+                          PredictConfig(mc_samples=4), seed=0)
+
+    def test_nonfinite_density_at_reverse_samples_names_particle(self):
+        model = get_model("linear1d")
+        cloud = self._cloud([[0.0], [0.5], [1.0]], [5, 9, 2])
+
+        def nan_in_last_block(pts):
+            out = np.ones(len(pts))
+            out[-1] = np.nan
+            return out
+
+        with pytest.raises(FilterError, match=r"reverse samples of particle ids \[2\] at step 1"):
+            predict_cloud(cloud, nan_in_last_block, model, self._grid(), 1,
+                          PredictConfig(mc_samples=4, variant="left_point"), seed=0)
+
+    def test_nonfinite_forward_state_names_particle(self):
+        model = make_model_1d(drift=lambda x: np.where(np.asarray(x) > 5.0, np.inf, 0.0))
+        cloud = self._cloud([[0.0], [10.0], [1.0]], [3, 7, 1])
+        with pytest.raises(ModelBlowUpError, match=r"forward .* particle ids \[7\] at step 1"):
+            predict_cloud(cloud, gauss_density(0.0, 1.0), model, self._grid(), 1,
+                          PredictConfig(mc_samples=4), seed=0)
+
+    def test_nonfinite_reverse_sample_names_particle(self):
+        # finite forward step, but the drift overflows at the forward location
+        model = make_model_1d(drift=lambda x: np.where(np.asarray(x) > 0.5, np.inf, 1.0),
+                              sigma=0.0)
+        cloud = self._cloud([[0.0], [0.45]], [4, 8])
+        with pytest.raises(ModelBlowUpError, match=r"reverse samples for particle ids \[8\]"):
+            predict_cloud(cloud, gauss_density(0.0, 1.0), model, self._grid(), 1,
+                          PredictConfig(mc_samples=4), seed=0)
 
 
 class TestParticleCloud:
