@@ -1,0 +1,27 @@
+"""The artifact file formats: comma-separated tables and JSON records.
+
+Every table and record a run writes goes through these two functions, so a
+run's files are byte-identical for any worker count and across releases that
+keep the same numbers.
+"""
+
+from __future__ import annotations
+
+import json
+
+
+def write_csv(path, header, rows) -> None:
+    """ASCII table; ``int`` and ``str`` cells via ``str``, every other cell via
+    ``repr(float(v))`` so floats round-trip exactly."""
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(str(c) if isinstance(c, (int, str)) else repr(float(c))
+                                  for c in row) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """ASCII JSON with sorted keys, two-space indent and a trailing newline."""
+    with open(path, "w", encoding="ascii") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")

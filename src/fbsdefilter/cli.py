@@ -8,19 +8,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .artifacts import write_csv, write_json
 from .errors import ConfigurationError, FilterError
 from .harness import ExperimentConfig, config_from_dict, estimate_recurrence_coefficient, \
     load_config, run_experiment, run_rate_study, save_report
 from .model import get_model, simulate_truth
-
-
-def _write_path_series(path: Path, name: str, times, rows) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        width = rows.shape[1]
-        handle.write("k,t," + ",".join(f"{name}{j}" for j in range(width)) + "\n")
-        for k, (t, row) in enumerate(zip(times, rows)):
-            cells = [str(k), repr(float(t))] + [repr(float(v)) for v in row]
-            handle.write(",".join(cells) + "\n")
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -51,8 +43,9 @@ def _cmd_simulate(args) -> int:
     truth, obs = simulate_truth(model, grid, cfg.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_path_series(out / "truth.csv", "x", grid.knots, truth)
-    _write_path_series(out / "obs.csv", "o", grid.knots, obs)
+    for path, name, series in ((out / "truth.csv", "x", truth), (out / "obs.csv", "o", obs)):
+        write_csv(path, ["k", "t", *(f"{name}{j}" for j in range(series.shape[1]))],
+                  ([k, t, *row] for k, (t, row) in enumerate(zip(grid.knots, series))))
     print(f"wrote {out / 'truth.csv'} and {out / 'obs.csv'}")
     return 0
 
@@ -95,9 +88,7 @@ def _cmd_diagnose(args) -> int:
         "failed": diag.failed,
         "message": diag.message,
     }
-    with open(out / "recurrence.json", "w", encoding="ascii") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(out / "recurrence.json", payload)
     verdict = "< 1 (contracting)" if diag.below_one else ">= 1 (no contraction certificate)"
     print(f"recurrence estimate {diag.r_hat:.4f} {verdict}")
     return 0

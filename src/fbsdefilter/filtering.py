@@ -7,14 +7,15 @@ parallel executions reproduce the same numbers.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .bayes import DENSITY_FLOOR, Likelihood, bayes_update, denominator_mc, \
     likelihood_density
 from .errors import ConfigurationError, FilterError
@@ -25,6 +26,10 @@ from .predict import ParticleCloud, PredictConfig, predict_cloud
 from .rngs import substream
 
 Array = np.ndarray
+
+# A learned mixture whose negative-weight mass exceeds this share of its
+# absolute mass triggers a warning after the step.
+NEGATIVE_MASS_WARN = 0.05
 
 
 @dataclass
@@ -37,7 +42,6 @@ class FilterConfig:
     predict: PredictConfig
     train: TrainConfig
     seed: int = 0
-    negative_mass_warn: float = 0.05
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -54,13 +58,7 @@ class StepDiagnostics:
     kd_mass: float = math.nan
 
     def to_dict(self, k: int) -> dict:
-        return {
-            "k": k,
-            "denominator": self.denominator,
-            "acceptance_rate": self.acceptance_rate,
-            "negative_mass_fraction": self.negative_mass_fraction,
-            "kd_mass": self.kd_mass,
-        }
+        return {"k": k, **asdict(self)}
 
 
 @dataclass
@@ -138,7 +136,7 @@ def _metropolis(cloud: ParticleCloud, kd: KernelDensity,
 
 
 def metropolis_resample(cloud: ParticleCloud, kd: KernelDensity,
-                        rng: np.random.Generator | Callable[[int], np.random.Generator]
+                        stream_for: Callable[[int], np.random.Generator]
                         ) -> ParticleCloud:
     """Move each particle to a fresh mixture draw with an accept test.
 
@@ -149,14 +147,11 @@ def metropolis_resample(cloud: ParticleCloud, kd: KernelDensity,
     incumbent, and every surviving particle gets its value re-evaluated under
     the mixture.
 
-    ``rng`` is either one generator shared by all particles or a callable
-    mapping particle id to its own stream (the form the filter step uses).
+    ``stream_for`` maps a particle id to that particle's own generator, which
+    draws its proposal and then its accept test; the outcome for a particle
+    is therefore independent of storage order and of every other particle.
     """
-    if callable(rng):
-        out, _ = _metropolis(cloud, kd, rng)
-    else:
-        out, _ = _metropolis(cloud, kd, lambda pid: rng)
-    return out
+    return _metropolis(cloud, kd, stream_for)[0]
 
 
 def step(state: FilterState, model: StateSpaceModel, obs_prev: Array,
@@ -185,10 +180,10 @@ def step(state: FilterState, model: StateSpaceModel, obs_prev: Array,
         raise type(err)(f"step {k}: {err}") from err
 
     neg_frac = kd.negative_mass_fraction()
-    if neg_frac > cfg.negative_mass_warn:
+    if neg_frac > NEGATIVE_MASS_WARN:
         warnings.warn(
             f"step {k}: negative kernel mass fraction {neg_frac:.3f} exceeds "
-            f"{cfg.negative_mass_warn:.3f}", stacklevel=2)
+            f"{NEGATIVE_MASS_WARN:.3f}", stacklevel=2)
     diag = StepDiagnostics(denominator=denominator, acceptance_rate=acceptance,
                            negative_mass_fraction=neg_frac, kd_mass=kd.mass())
     return FilterState(k=k, cloud=cloud, density=kd, diagnostics=diag)
@@ -220,25 +215,17 @@ def run_filter(model: StateSpaceModel, observations: Array, cfg: FilterConfig,
 
 def write_checkpoint(state: FilterState, out_dir) -> None:
     """Per-step artifact: mixture file, particle table, diagnostics record."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tag = f"{state.k:04d}"
     if isinstance(state.density, KernelDensity):
         save_density(state.density, out / f"kd_step_{tag}.txt")
-    with open(out / f"particles_step_{tag}.csv", "w", encoding="ascii") as handle:
-        dim = state.cloud.dim
-        coords = ",".join(f"x{j}" for j in range(dim))
-        handle.write(f"index,{coords},value\n")
-        for row in range(state.cloud.n_particles):
-            pieces = [str(int(state.cloud.ids[row]))]
-            pieces += [repr(float(v)) for v in state.cloud.locations[row]]
-            pieces.append(repr(float(state.cloud.values[row])))
-            handle.write(",".join(pieces) + "\n")
-    with open(out / f"diagnostics_step_{tag}.json", "w", encoding="ascii") as handle:
-        json.dump(state.diagnostics.to_dict(state.k), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    cloud = state.cloud
+    write_csv(out / f"particles_step_{tag}.csv",
+              ["index", *(f"x{j}" for j in range(cloud.dim)), "value"],
+              ([int(pid), *loc, val]
+               for pid, loc, val in zip(cloud.ids, cloud.locations, cloud.values)))
+    write_json(out / f"diagnostics_step_{tag}.json", state.diagnostics.to_dict(state.k))
 
 
 # --- baselines ----------------------------------------------------------------

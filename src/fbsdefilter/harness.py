@@ -16,13 +16,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .bayes import DENSITY_FLOOR, Likelihood, denominator_mc, likelihood_density
 from .errors import ConfigurationError
 from .filtering import FilterConfig, bootstrap_pf, kalman_filter, run_filter, \
     write_checkpoint
 from .kde import BandwidthSpec, KernelDensity, parzen_estimate
 from .learn import TrainConfig
-from .model import StateSpaceModel, TimeGrid, get_model, matvec, \
+from .model import StateSpaceModel, TimeGrid, backward_sample, euler_step, get_model, \
     ou_exact_coupled_step, simulate_truth
 from .predict import ParticleCloud, PredictConfig, predict_value_left_point
 from .reference import denominator_oracle, grid_filter, \
@@ -293,14 +294,14 @@ def dt_rate_study(step_sizes=(0.1, 0.05, 0.025, 0.0125), replications: int = 200
         dt = dts[j]
         n_steps = int(round(horizon / dt))
         rng = substream(seed, "dt-rate", j)
-        euler = np.full(replications, x0)
-        exact = np.full(replications, x0)
+        euler = np.full((replications, 1), x0)
+        exact = np.full((replications, 1), x0)
         for k in range(n_steps):
-            dW = math.sqrt(dt) * rng.standard_normal(replications)
-            extra = rng.standard_normal(replications)
-            euler = euler + (-theta * euler) * dt + sigma * dW
+            dW = math.sqrt(dt) * rng.standard_normal((replications, 1))
+            extra = rng.standard_normal((replications, 1))
+            euler = euler_step(model, k * dt, euler, dt, dW)
             exact = ou_exact_coupled_step(theta, sigma, exact, dt, dW, extra)
-        return (euler - exact) ** 2
+        return ((euler - exact) ** 2)[:, 0]
 
     sq_by_dt = _run_jobs([lambda j=j: one_dt(j) for j in range(len(dts))], threads)
     raw = np.stack(sq_by_dt, axis=1)
@@ -484,8 +485,7 @@ def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
         dt = grid.dt(k)
         noise = math.sqrt(dt) * substream(seed, "recur-fwd", k).standard_normal(
             (n_samples, model.dim_noise))
-        states = states + model.drift(states) * dt \
-            + matvec(np.asarray(model.diffusion(grid.time(k - 1)), dtype=float), noise)
+        states = euler_step(model, grid.time(k - 1), states, dt, noise)
         g_hat = max(g_hat, float(np.max(np.abs(model.drift_divergence(states)))))
         lik = Likelihood(observations[k - 1], observations[k], dt, model.obs_map,
                          model.obs_noise(grid.time(k)))
@@ -506,8 +506,7 @@ def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
                 rng = substream(seed, "recur-bwd", k, probe_id)
                 probe_id += 1
                 dW = math.sqrt(dt) * rng.standard_normal((n_backward, model.dim_noise))
-                back = probe - model.drift(probe) * dt \
-                    + matvec(np.asarray(model.diffusion(grid.time(k)), dtype=float), dW)
+                back = backward_sample(model, grid.time(k), probe, dt, dW)
                 best = max(best, float(np.mean(likelihood_density(lik, back))))
         ratios[k - 1] = best / denom
     ratio_sup = float(np.max(ratios))
@@ -518,31 +517,17 @@ def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
 
 # --- full experiment ------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(str(c) if isinstance(c, (int, str)) else _fmt(c)
-                                  for c in row) + "\n")
-
-
 def save_report(report: ConvergenceReport, out_dir) -> None:
     """Report JSON plus the raw per-replication table that reproduces it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"rates_{report.axis}.json", "w", encoding="ascii") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(out / f"rates_{report.axis}.json", report.to_dict())
     rows = []
     for rep in range(report.raw.shape[0]):
         for j, v in enumerate(report.values):
             rows.append([rep, v, report.raw[rep, j]])
-    _write_csv(out / f"rates_{report.axis}_raw.csv",
-               ["replication", "axis_value", "squared_error"], rows)
+    write_csv(out / f"rates_{report.axis}_raw.csv",
+              ["replication", "axis_value", "squared_error"], rows)
 
 
 @dataclass
@@ -605,7 +590,7 @@ def _run_single_replication(model: StateSpaceModel, cfg: ExperimentConfig,
         row += [diag.kd_mass, diag.acceptance_rate, diag.denominator,
                 diag.negative_mass_fraction]
         rows.append(row)
-    _write_csv(rep_dir / "summary.csv", header, rows)
+    write_csv(rep_dir / "summary.csv", header, rows)
 
     result = {"rep": rep, "post_mean": post_mean, "pf_mean": pf.means}
     if oracle_mean is not None:
@@ -623,9 +608,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
     model = get_model(cfg.model)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w", encoding="ascii") as handle:
-        json.dump(cfg.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(out / "config.json", cfg.to_dict())
 
     jobs = [lambda rep=rep: _run_single_replication(model, cfg, rep, out)
             for rep in range(cfg.replications)]
@@ -645,9 +628,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
             rows.append([k, float(np.median(fbsde_err)), float(np.median(pf_err)),
                          float(np.median(fbsde_err / np.maximum(scale, 1e-300)))])
         error_path = out / "errors_vs_oracle.csv"
-        _write_csv(error_path,
-                   ["k", "fbsde_abs_err_median", "pf_abs_err_median",
-                    "fbsde_err_over_oracle_std_median"], rows)
+        write_csv(error_path,
+                  ["k", "fbsde_abs_err_median", "pf_abs_err_median",
+                   "fbsde_err_over_oracle_std_median"], rows)
 
     summary_path = out / "rep_000" / "summary.csv"
     return ExperimentArtifacts(out_dir=out, summary_path=summary_path,

@@ -234,28 +234,20 @@ class BandwidthSpec:
             * self.roughness_constant ** (2.0 * m / (2 * m + d))
 
     @classmethod
-    def gaussian(cls, n: int, dim: int, density_sup: float,
-                 sobolev_bound: float = 1.0, holder_p: int = 2) -> "BandwidthSpec":
+    def gaussian(cls, n: int, dim: int, density_sup: float) -> "BandwidthSpec":
         """Constants for the standard normal kernel (order 2).
 
         ``density_sup`` has no observable truth in practice; the documented
-        plug-in heuristic is the largest observed density value, with the
-        Sobolev bound defaulting to 1.
+        plug-in heuristic is the largest observed density value.  The Sobolev
+        bound is 1, and the Holder step uses p = q = 2, whose factor
+        ``(q + 1)^(2/q)`` is 3.
         """
-        if holder_p < 1:
-            raise ConfigurationError("holder_p must be >= 1")
         # E[(sum_i |Z_i|)^2] for a standard normal vector
         abs_moment_sq = dim + dim * (dim - 1) * (2.0 / math.pi)
-        if holder_p == 1:
-            holder_factor = 1.0
-        else:
-            q = holder_p / (holder_p - 1.0)
-            holder_factor = (q + 1.0) ** (2.0 / q)
-        moment = abs_moment_sq ** 2 / holder_factor
+        moment = abs_moment_sq ** 2 / 3.0
         roughness = density_sup * (4.0 * math.pi) ** (-dim / 2.0)
         return cls(n=n, dim=dim, kernel_order=2, moment_constant=moment,
-                   roughness_constant=roughness, sobolev_bound=sobolev_bound,
-                   density_sup=density_sup)
+                   roughness_constant=roughness, density_sup=density_sup)
 
 
 def plugin_density_sup(values: Iterable[float]) -> float:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import ConfigurationError, DivergentLearningError
 from .kde import SQRT_PI, KernelDensity, _bumps
 from .predict import ParticleCloud
@@ -18,6 +19,11 @@ Array = np.ndarray
 
 CENTER_RULES = ("uniform_subsample", "weighted_subsample")
 
+# Bandwidths are clamped at this fraction of the initial bandwidth, since the
+# bandwidth gradient grows like the inverse cube and unguarded descent can
+# collapse a component.
+BANDWIDTH_FLOOR_FRAC = 1e-3
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -25,10 +31,9 @@ class TrainConfig:
 
     Rates decay as ``rate / (1 + s / decay_steps)``; ``decay_steps=None``
     uses half the step count.  ``init_bandwidth=None`` starts every bandwidth
-    at the median pairwise distance between the selected centers.  Bandwidths
-    are clamped at ``bandwidth_floor_frac`` times the initial bandwidth, since
-    the bandwidth gradient grows like the inverse cube and unguarded descent
-    can collapse a component.
+    at the median pairwise distance between the selected centers.
+    Bandwidths are clamped at ``BANDWIDTH_FLOOR_FRAC`` times the initial
+    bandwidth.
     """
 
     sgd_steps: int
@@ -36,7 +41,6 @@ class TrainConfig:
     rate_bandwidths: float = 0.02
     decay_steps: float | None = None
     center_rule: str = "uniform_subsample"
-    bandwidth_floor_frac: float = 1e-3
     init_bandwidth: float | None = None
 
     def __post_init__(self):
@@ -46,8 +50,6 @@ class TrainConfig:
             raise ConfigurationError("learning rates must be positive")
         if self.center_rule not in CENTER_RULES:
             raise ConfigurationError(f"center_rule must be one of {CENTER_RULES}")
-        if self.bandwidth_floor_frac <= 0:
-            raise ConfigurationError("bandwidth_floor_frac must be positive")
         if self.decay_steps is not None and self.decay_steps <= 0:
             raise ConfigurationError("decay_steps must be positive")
 
@@ -73,10 +75,9 @@ class LossReport:
     bandwidth_clamps: int = 0
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write("step,sample_index,loss\n")
-            for step, (idx, loss) in enumerate(zip(self.sample_indices, self.trace)):
-                handle.write(f"{step},{int(idx)},{repr(float(loss))}\n")
+        write_csv(path, ["step", "sample_index", "loss"],
+                  ([step, int(idx), loss]
+                   for step, (idx, loss) in enumerate(zip(self.sample_indices, self.trace))))
 
 
 def _select_center_rows(values: Array, n_kernels: int, rule: str,
@@ -188,7 +189,7 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
     dim = centers.shape[1]
     weights = targets[rows] / (n_kernels * (width0 * SQRT_PI) ** dim)
     bandwidths = np.full(n_kernels, float(width0))
-    floor = cfg.bandwidth_floor_frac * width0
+    floor = BANDWIDTH_FLOOR_FRAC * width0
 
     steps = cfg.sgd_steps
     trace = np.empty(steps + 1)

@@ -14,15 +14,17 @@ import numpy as np
 
 from .bayes import Likelihood, likelihood_density
 from .errors import ConfigurationError
-from .model import StateSpaceModel, TimeGrid
+from .model import StateSpaceModel, TimeGrid, euler_step
 from .rngs import substream
 
 Array = np.ndarray
 
 
-def normal_pdf(x: Array, mean: float, var: float) -> Array:
-    z = (np.asarray(x, dtype=float) - mean)
-    return np.exp(-0.5 * z * z / var) / math.sqrt(2.0 * math.pi * var)
+def normal_pdf(x: Array, mean: float | Array, var: float) -> Array:
+    # one expression, so numpy reuses its temporaries in place: the grid
+    # filter calls this on (block, n_nodes) slabs
+    return np.exp(-0.5 * (np.asarray(x, dtype=float) - mean) ** 2 / var) \
+        / math.sqrt(2.0 * math.pi * var)
 
 
 def _require_scalar_state(model: StateSpaceModel, what: str) -> None:
@@ -159,9 +161,8 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid, observations: Array,
     hi = float(states.max())
     for k in range(1, grid.steps + 1):
         dt = grid.dt(k)
-        sig = np.asarray(model.diffusion(grid.time(k - 1)), dtype=float)
         noise = math.sqrt(dt) * probe_rng.standard_normal((n_probe, model.dim_noise))
-        states = states + model.drift(states) * dt + noise @ sig.T
+        states = euler_step(model, grid.time(k - 1), states, dt, noise)
         lo = min(lo, float(states.min()))
         hi = max(hi, float(states.max()))
     pad = 0.35 * span * max(hi - lo, 1.0)
@@ -179,12 +180,10 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid, observations: Array,
         drift_to = xs + np.asarray(model.drift(xs[:, None]), dtype=float)[:, 0] * dt
         weighted = post * weight
         prior = np.empty(n_nodes)
-        norm_const = math.sqrt(2.0 * math.pi * var)
         block = 256  # bounds the (block, n_nodes) transition slab held in memory
         for start in range(0, n_nodes, block):
             stop = min(start + block, n_nodes)
-            kernel = np.exp(-0.5 * (xs[start:stop, None] - drift_to[None, :]) ** 2
-                            / var) / norm_const
+            kernel = normal_pdf(xs[start:stop, None], drift_to[None, :], var)
             prior[start:stop] = (kernel * weighted[None, :]).sum(axis=1)
         lik = Likelihood(observations[k - 1], observations[k], dt,
                          model.obs_map, model.obs_noise(grid.time(k)))

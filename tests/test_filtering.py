@@ -86,7 +86,7 @@ class TestMetropolisResample:
         bw = 1.0
         kd = KernelDensity([[0.0]], [0.5], [bw])
         far = self._cloud(np.full((10_000, 1), 3.0 * bw))
-        out = metropolis_resample(far, kd, substream(1, "mh-accept"))
+        out = metropolis_resample(far, kd, lambda pid: substream(1, "mh-accept", pid))
         moved = np.mean(out.locations[:, 0] != 3.0 * bw)
         assert moved > 0.999
 
@@ -108,7 +108,8 @@ class TestMetropolisResample:
                 x = np.atleast_2d(np.asarray(x, dtype=float))
                 return np.where(np.abs(x[:, 0]) < 1.0, 1.0, 0.0)
 
-        out = metropolis_resample(cloud, ZeroAtProposals(), substream(2, "mh-zero"))
+        out = metropolis_resample(cloud, ZeroAtProposals(),
+                                  lambda pid: substream(2, "mh-zero", pid))
         assert out.locations[0, 0] == 0.1
 
     def test_acceptance_sequence_invariant_under_weight_scaling(self):
@@ -126,7 +127,7 @@ class TestMetropolisResample:
     def test_values_reevaluated_under_mixture(self):
         kd = KernelDensity([[0.0]], [0.5], [1.0])
         cloud = self._cloud([[0.4], [1.0]])
-        out = metropolis_resample(cloud, kd, substream(5, "mh-values"))
+        out = metropolis_resample(cloud, kd, lambda pid: substream(5, "mh-values", pid))
         np.testing.assert_allclose(out.values, kd.eval(out.locations), rtol=1e-14)
 
 

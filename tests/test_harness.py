@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbsdefilter.cli import main as cli_main
-from fbsdefilter.errors import ConfigurationError
+from fbsdefilter.errors import ConfigurationError, ModelBlowUpError
 from fbsdefilter.harness import (
     ConvergenceReport,
     ExperimentConfig,
@@ -162,6 +162,16 @@ class TestRecurrenceDiagnostic:
         d2 = estimate_recurrence_coefficient(model, grid, obs, seed=202,
                                              n_samples=100_000)
         assert abs(d1.r_hat - d2.r_hat) / d1.r_hat < 0.05
+
+    def test_overflowing_drift_raises_blow_up(self):
+        # an overflowing forward step must stop the diagnostic, not leave
+        # infinite states behind that read as a contraction certificate
+        model = make_model_1d(drift=lambda x: 1e3 * np.asarray(x) ** 5)
+        grid = TimeGrid.uniform(horizon=1.0, steps=5)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ModelBlowUpError, match="non-finite state"):
+            estimate_recurrence_coefficient(model, grid, np.zeros((6, 1)),
+                                            n_samples=2000)
 
 
 class TestExperimentConfig:

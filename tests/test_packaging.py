@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -22,3 +23,35 @@ def test_every_module_imports_without_scipy():
     proc = subprocess.run([sys.executable, "-c", IMPORT_ALL_WITHOUT_SCIPY],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _write_opens(tree: ast.AST) -> list[int]:
+    """Line numbers of ``open(...)`` calls whose mode writes to the file."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "open":
+            continue
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+        if any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+               and set(m.value) & set("wax") for m in modes):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_artifact_formats_live_in_one_module():
+    # every table and JSON record goes through fbsdefilter.artifacts; only the
+    # mixture file format of kde.save_density is kept beside it
+    package = Path(fbsdefilter.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if path.name != "artifacts.py":
+            offenders += [f"{path.name}: json.dump"] * source.count("json.dump")
+            if path.name != "kde.py":
+                offenders += [f"{path.name}:{line}: open for writing"
+                              for line in _write_opens(ast.parse(source))]
+    assert offenders == []
