@@ -118,21 +118,24 @@ def initialize(model: StateSpaceModel, cfg: FilterConfig) -> FilterState:
 def _metropolis(cloud: ParticleCloud, kd: KernelDensity,
                 stream_for: Callable[[int], np.random.Generator]
                 ) -> tuple[ParticleCloud, float]:
-    old_vals = np.maximum(kd.eval(cloud.locations), DENSITY_FLOOR)
-    new_locations = cloud.locations.copy()
-    accepted = 0
+    n, dim = cloud.n_particles, kd.dim
+    u = np.empty(n)
+    z = np.empty((n, dim))
+    accept_u = np.empty(n)
     for row, pid in enumerate(cloud.ids):
         rng = stream_for(int(pid))
-        proposal = kd.sample(rng)
-        new_val = kd.eval(proposal[None, :])[0]
-        ratio = max(new_val, 0.0) / old_vals[row]
-        if rng.random() < min(1.0, ratio):
-            new_locations[row] = proposal
-            accepted += 1
+        u[row] = rng.random()
+        z[row] = rng.standard_normal(dim)
+        accept_u[row] = rng.random()
+    proposals = kd.inverse_sample(u, z)
+    old_vals = np.maximum(kd.eval(cloud.locations), DENSITY_FLOOR)
+    ratio = np.maximum(kd.eval(proposals), 0.0) / old_vals
+    accept = accept_u < np.minimum(1.0, ratio)
+    new_locations = np.where(accept[:, None], proposals, cloud.locations)
     values = np.maximum(kd.eval(new_locations), 0.0)
     out = ParticleCloud(k=cloud.k, locations=new_locations, values=values,
                         stage="posterior", ids=cloud.ids.copy())
-    return out, accepted / cloud.n_particles
+    return out, int(accept.sum()) / n
 
 
 def metropolis_resample(cloud: ParticleCloud, kd: KernelDensity,
@@ -148,8 +151,11 @@ def metropolis_resample(cloud: ParticleCloud, kd: KernelDensity,
     the mixture.
 
     ``stream_for`` maps a particle id to that particle's own generator, which
-    draws its proposal and then its accept test; the outcome for a particle
-    is therefore independent of storage order and of every other particle.
+    draws, in this order, the component uniform, the ``dim`` standard normals
+    that place the proposal (``KernelDensity.inverse_sample``) and the accept
+    uniform; the outcome for a particle is therefore independent of storage
+    order and of every other particle.  Each id's generator is used up before
+    the next id is asked for.
     """
     return _metropolis(cloud, kd, stream_for)[0]
 

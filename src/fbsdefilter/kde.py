@@ -118,21 +118,30 @@ class KernelDensity:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw from the mixture, ignoring negative-weight components.
 
-        A component is picked with probability proportional to its positive
-        mass, then a Gaussian with per-axis variance bandwidth^2 / 2 (the
-        normal law matching the bump's exponent) is drawn around its center.
+        Draws the component uniforms, then the standard normals, and places
+        them with ``inverse_sample``.
+        """
+        n = 1 if size is None else int(size)
+        u = rng.random(n)
+        pts = self.inverse_sample(u, rng.standard_normal((n, self.dim)))
+        return pts[0] if size is None else pts
+
+    def inverse_sample(self, u: Array, z: Array) -> Array:
+        """Mixture draws from ``(n,)`` uniforms and ``(n, dim)`` standard normals.
+
+        Negative-weight components are ignored: ``u`` picks a component with
+        probability proportional to its positive mass, then ``z`` places the
+        point around its center with per-axis variance bandwidth^2 / 2 (the
+        normal law matching the bump's exponent).  Each row depends only on
+        its own ``u`` and ``z``.
         """
         masses = np.where(self.weights > 0, self.weights, 0.0) * self.component_integrals()
         total = masses.sum()
         if total <= 0:
             raise EmptyDensityError("no positive-weight component to sample from")
         cum = np.cumsum(masses / total)
-        n = 1 if size is None else int(size)
-        u = rng.random(n)
         comp = np.minimum(np.searchsorted(cum, u, side="right"), self.n_components - 1)
-        z = rng.standard_normal((n, self.dim))
-        pts = self.centers[comp] + (self.bandwidths[comp, None] / math.sqrt(2.0)) * z
-        return pts[0] if size is None else pts
+        return self.centers[comp] + (self.bandwidths[comp, None] / math.sqrt(2.0)) * z
 
     def moments(self) -> tuple[Array, Array, float]:
         """Signed-mixture mean, covariance, and total mass."""

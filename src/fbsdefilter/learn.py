@@ -53,7 +53,8 @@ class TrainConfig:
         if self.decay_steps is not None and self.decay_steps <= 0:
             raise ConfigurationError("decay_steps must be positive")
 
-    def rate_at(self, step: int) -> tuple[float, float]:
+    def rate_at(self, step: int | Array) -> tuple:
+        """Weight and bandwidth rates at a step, or at an array of steps."""
         s0 = self.decay_steps if self.decay_steps is not None else max(self.sgd_steps / 2.0, 1.0)
         damp = 1.0 / (1.0 + step / s0)
         return self.rate_weights * damp, self.rate_bandwidths * damp
@@ -198,20 +199,21 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
                          locations, targets)
     clamps = 0
 
-    for s in range(1, steps + 1):
-        idx = int(rng.integers(n))
+    # one call draws the same pair indices as one scalar draw per step
+    picks[1:] = rng.integers(n, size=steps)
+    rates_w, rates_b = cfg.rate_at(np.arange(1, steps + 1))
+    for s, idx, rate_w, rate_b in zip(range(1, steps + 1), picks[1:].tolist(),
+                                      rates_w.tolist(), rates_b.tolist()):
         resid, grad_w, grad_b, _, _ = _pair_gradients(
             locations[idx], targets[idx], centers, weights, bandwidths)
         trace[s] = resid * resid
-        picks[s] = idx
-        rate_w, rate_b = cfg.rate_at(s)
         weights = weights - rate_w * grad_w
         bandwidths = bandwidths - rate_b * grad_b
         low = bandwidths < floor
-        if np.any(low):
+        if low.any():
             clamps += int(low.sum())
             bandwidths = np.where(low, floor, bandwidths)
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bandwidths))):
+        if not (np.isfinite(weights).all() and np.isfinite(bandwidths).all()):
             raise DivergentLearningError(
                 f"non-finite kernel parameters at descent step {s}; "
                 "lower the learning rates")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 def _digest(seed: int, purpose: str, indices: tuple) -> bytes:
@@ -19,10 +20,25 @@ def _digest(seed: int, purpose: str, indices: tuple) -> bytes:
     return hashlib.blake2b(tag.encode("ascii"), digest_size=16).digest()
 
 
+class _Key(ISeedSequence):
+    """Hands a ready Philox key to the generator as its seed state.
+
+    ``Philox(key=...)`` builds, and then ignores, an OS-entropy
+    ``SeedSequence`` (most of its construction time); a seed sequence that
+    returns the key gives the same generator, counter zero, without it.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
 def substream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
     """Independent generator for the stream named (seed, purpose, *indices)."""
     key = np.frombuffer(_digest(seed, purpose, indices), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_Key(key)))
 
 
 def derive_seed(seed: int, purpose: str, *indices: int) -> int:

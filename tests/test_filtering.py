@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from fbsdefilter.bayes import DENSITY_FLOOR
 from fbsdefilter.errors import ConfigurationError, FilterError
 from fbsdefilter.filtering import (
     FilterConfig,
+    _metropolis,
     bootstrap_pf,
     initialize,
     kalman_filter,
@@ -75,6 +77,23 @@ class TestInitialize:
             initialize(model, small_config(grid))
 
 
+def per_particle_metropolis(cloud, kd, stream_for):
+    """Reference: one mixture draw, one evaluation and one accept test per particle."""
+    old_vals = np.maximum(kd.eval(cloud.locations), DENSITY_FLOOR)
+    new_locations = cloud.locations.copy()
+    accepted = 0
+    for row, pid in enumerate(cloud.ids):
+        rng = stream_for(int(pid))
+        proposal = kd.sample(rng)
+        new_val = kd.eval(proposal[None, :])[0]
+        ratio = max(new_val, 0.0) / old_vals[row]
+        if rng.random() < min(1.0, ratio):
+            new_locations[row] = proposal
+            accepted += 1
+    values = np.maximum(kd.eval(new_locations), 0.0)
+    return new_locations, values, accepted / cloud.n_particles
+
+
 class TestMetropolisResample:
     def _cloud(self, locations):
         locations = np.atleast_2d(np.asarray(locations, dtype=float))
@@ -101,8 +120,8 @@ class TestMetropolisResample:
         class ZeroAtProposals:
             dim = 1
 
-            def sample(self, rng, size=None):
-                return np.array([50.0])
+            def inverse_sample(self, u, z):
+                return np.array([[50.0]])
 
             def eval(self, x):
                 x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -111,6 +130,30 @@ class TestMetropolisResample:
         out = metropolis_resample(cloud, ZeroAtProposals(),
                                   lambda pid: substream(2, "mh-zero", pid))
         assert out.locations[0, 0] == 0.1
+
+    def test_batched_equals_per_particle_loop(self):
+        # 2-D mixture whose negative component makes some proposals worthless
+        rng = substream(8, "mh-batch-init")
+        kd = KernelDensity(
+            np.vstack([rng.standard_normal((5, 2)), [[0.0, 0.0]]]),
+            np.r_[np.abs(rng.standard_normal(5)) + 0.2, -4.0],
+            np.r_[np.abs(rng.standard_normal(5)) * 0.4 + 0.5, 0.8])
+        n = 500
+        cloud = ParticleCloud(k=1, locations=1.5 * rng.standard_normal((n, 2)),
+                              values=np.ones(n), stage="posterior",
+                              ids=rng.permutation(n) + 1000)
+
+        def streams(pid):
+            return substream(9, "mh-batch", pid)
+
+        want_locations, want_values, want_rate = per_particle_metropolis(
+            cloud, kd, streams)
+        out = metropolis_resample(cloud, kd, streams)
+        _, rate = _metropolis(cloud, kd, streams)
+        assert out.locations.tobytes() == want_locations.tobytes()
+        assert out.values.tobytes() == want_values.tobytes()
+        assert rate == want_rate and 0.0 < rate < 1.0
+        assert np.array_equal(out.ids, cloud.ids)
 
     def test_acceptance_sequence_invariant_under_weight_scaling(self):
         rng_init = substream(3, "mh-scale-init")

@@ -6,6 +6,7 @@ import pytest
 from fbsdefilter.errors import ConfigurationError, DivergentLearningError
 from fbsdefilter.kde import SQRT_PI, KernelDensity
 from fbsdefilter.learn import (
+    CENTER_RULES,
     TrainConfig,
     hessian,
     loss_and_gradients,
@@ -181,6 +182,22 @@ class TestSgdFit:
         assert np.array_equal(kd_a.centers, kd_b.centers)
         assert np.array_equal(kd_a.weights, kd_b.weights)
         assert np.array_equal(kd_a.bandwidths, kd_b.bandwidths)
+
+    @pytest.mark.parametrize("rule", CENTER_RULES)
+    def test_pair_indices_are_scalar_draws_after_center_selection(self, rule):
+        # the fit draws all pair indices in one call; numpy must keep giving
+        # the values, and the order, of one scalar draw per step
+        rng = substream(19, "fit-picks")
+        n, steps = 300, 500
+        cloud = ParticleCloud(k=1, locations=rng.standard_normal((n, 1)),
+                              values=np.abs(rng.standard_normal(n)) + 0.1,
+                              stage="posterior", ids=rng.permutation(n))
+        _, report = sgd_fit(cloud, 8, TrainConfig(sgd_steps=steps, center_rule=rule),
+                            substream(20, "fit-picks-run"))
+        replay = substream(20, "fit-picks-run")
+        select_centers(cloud, 8, rule, replay)
+        scalar = [int(replay.integers(n)) for _ in range(steps)]
+        assert report.sample_indices[1:].tolist() == scalar
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_rate_raises_with_step_index(self):

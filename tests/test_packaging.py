@@ -25,16 +25,22 @@ def test_every_module_imports_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def _calls(tree: ast.AST, names: set[str]) -> list[ast.Call]:
+    """Calls of a function or attribute named in ``names`` below ``tree``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                out.append(node)
+    return out
+
+
 def _write_opens(tree: ast.AST) -> list[int]:
     """Line numbers of ``open(...)`` calls whose mode writes to the file."""
     lines = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name != "open":
-            continue
+    for node in _calls(tree, {"open"}):
         modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
         if any(isinstance(m, ast.Constant) and isinstance(m.value, str)
                and set(m.value) & set("wax") for m in modes):
@@ -54,4 +60,17 @@ def test_artifact_formats_live_in_one_module():
             if path.name != "kde.py":
                 offenders += [f"{path.name}:{line}: open for writing"
                               for line in _write_opens(ast.parse(source))]
+    assert offenders == []
+
+
+def test_generators_are_built_only_in_rngs():
+    # every stream comes from rngs.substream, so no module builds a Philox or
+    # a Generator of its own
+    package = Path(fbsdefilter.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name != "rngs.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offenders += [f"{path.name}:{call.lineno}: generator built"
+                          for call in _calls(tree, {"Philox", "Generator"})]
     assert offenders == []

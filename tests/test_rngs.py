@@ -1,0 +1,28 @@
+import numpy as np
+
+from fbsdefilter.rngs import _digest, substream
+
+
+def _mixed_draws(rng: np.random.Generator) -> list:
+    """Doubles, normals, a bounded integer and 32-bit words, in one sequence.
+
+    Three 32-bit draws in total (one inside ``integers(17)``) leave half of a
+    64-bit word stored in the generator (``has_uint32`` set).
+    """
+    return [rng.random(), rng.standard_normal((3, 2)), rng.integers(17),
+            rng.integers(2 ** 32, dtype=np.uint32, size=2)]
+
+
+def test_substream_is_the_philox_keyed_by_the_address_digest():
+    # substream skips the entropy seeding of Philox(key=...); the generator
+    # it builds must still start in, and draw from, the same state
+    for pid in substream(0, "rng-identity-order").permutation(64).tolist():
+        key = np.frombuffer(_digest(9, "rng-identity", (3, pid)), dtype=np.uint64)
+        want_rng = np.random.Generator(np.random.Philox(key=key))
+        rng = substream(9, "rng-identity", 3, pid)
+        assert repr(rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+        for a, b in zip(_mixed_draws(rng), _mixed_draws(want_rng)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), pid
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and state["state"]["counter"].any()
+        assert repr(state) == repr(want_rng.bit_generator.state)
