@@ -108,7 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--replications", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker processes for replications and sweep points "
+                            "(1 runs them in this process)")
 
     p_sim = sub.add_parser("simulate", help="simulate a hidden path and observations")
     common(p_sim)

@@ -1,15 +1,19 @@
 """Experiment runner: rate studies, recurrence diagnostic, artifact bundles.
 
-Replications and sweep points are independent jobs; they may run on a thread
-pool, and reports are assembled by an ordered reduce, so outputs are
-byte-identical for any worker count.
+Replications and sweep points are independent jobs; they may run in forked
+worker processes, and reports are assembled by an ordered reduce, so outputs
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import sys
+import traceback
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -146,12 +150,60 @@ def _report_from_raw(axis: str, values, raw: Array, statistic: str,
         raw=raw, notes=notes, g_hat=g_hat)
 
 
-def _run_jobs(jobs: list[Callable[[], object]], threads: int) -> list:
-    if threads <= 1:
+# The jobs of the pool this worker process was forked for.
+_worker_jobs: list[Callable[[], object]] = []
+
+
+def _init_worker(jobs: list[Callable[[], object]]) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _run_worker_job(index: int):
+    """One job in a worker: its result or error, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, error = _worker_jobs[index](), None
+        except Exception as exc:  # raised again in the caller, in job order
+            result, error = None, (exc, traceback.format_exc())
+    return result, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _reemit(records) -> None:
+    """Warn in this process as the worker's ``warnings.warn`` calls would have."""
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in records:
+        module = modules.get(filename)
+        warnings.warn_explicit(
+            message, category, filename, lineno,
+            module=getattr(module, "__name__", None),
+            registry=vars(module).setdefault("__warningregistry__", {}) if module else None)
+
+
+def _run_jobs(jobs: list[Callable[[], object]], workers: int) -> list:
+    """Run independent jobs and return their results in job order.
+
+    With at most one worker or one job, the jobs run here, one after another.
+    Otherwise ``min(workers, len(jobs))`` forked processes run them.  They are
+    forked, not spawned, so that they inherit ``jobs``: jobs are closures over
+    models, which cannot be pickled; only job indices go out and results come
+    back.  Once the pool has finished, every job's warnings are re-emitted
+    here in job order, and the error of the lowest-index failed job is raised.
+    """
+    workers = min(workers, len(jobs))
+    if workers <= 1:
         return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(jobs,)) as pool:
+        outcomes = list(pool.map(_run_worker_job, range(len(jobs))))
+    for _result, _error, records in outcomes:
+        _reemit(records)
+    for _result, error, _records in outcomes:
+        if error is not None:
+            exc, worker_traceback = error
+            raise exc from RuntimeError(f"in a worker process:\n{worker_traceback}")
+    return [result for result, _error, _records in outcomes]
 
 
 # --- axis studies -------------------------------------------------------------
@@ -603,7 +655,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
     """Simulate, filter, compare against the available oracle, write artifacts.
 
     Every replication is an independent deterministic job keyed by the
-    experiment seed; output files are identical for any thread count.
+    experiment seed; ``cfg.threads`` worker processes run them, and output
+    files are identical for any worker count.
     """
     model = get_model(cfg.model)
     out = Path(cfg.out_dir)

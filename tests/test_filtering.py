@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fbsdefilter.filtering import (
     step,
     write_checkpoint,
 )
+from fbsdefilter.harness import _run_jobs
 from fbsdefilter.kde import KernelDensity, load_density
 from fbsdefilter.learn import TrainConfig
 from fbsdefilter.model import LinearGaussian, TimeGrid, get_model, simulate_truth
@@ -280,8 +282,8 @@ class TestOracleCompetitiveness:
         """
         model = get_model("linear1d")
         grid = TimeGrid.uniform(horizon=1.0, steps=10)
-        sq_filter, sq_pf = [], []
-        for seed in range(10):
+
+        def seed_squared_errors(seed):
             _truth, obs = simulate_truth(model, grid, seed=seed)
             kal = kalman_filter(model.linear, grid, obs)
             cfg = FilterConfig(grid=grid, n_particles=2000, n_kernels=32,
@@ -289,10 +291,17 @@ class TestOracleCompetitiveness:
                                train=TrainConfig(sgd_steps=8000), seed=seed)
             states = run_filter(model, obs, cfg)
             pf = bootstrap_pf(model, grid, obs, cfg.n_particles, seed)
+            sq_filter, sq_pf = [], []
             for k in range(1, grid.steps + 1):
                 mean, _cov, _mass = states[k].density.moments()
                 sq_filter.append((mean[0] - kal.means[k, 0]) ** 2)
                 sq_pf.append((pf.means[k, 0] - kal.means[k, 0]) ** 2)
+            return sq_filter, sq_pf
+
+        per_seed = _run_jobs([lambda s=s: seed_squared_errors(s) for s in range(10)],
+                             len(os.sched_getaffinity(0)))
+        sq_filter = [e for errors, _pf in per_seed for e in errors]
+        sq_pf = [e for _filter, errors in per_seed for e in errors]
         filter_rmse = math.sqrt(np.mean(sq_filter))
         pf_rmse = math.sqrt(np.mean(sq_pf))
         assert filter_rmse < 1.25 * pf_rmse, (

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,13 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbsdefilter.cli import main as cli_main
-from fbsdefilter.errors import ConfigurationError, ModelBlowUpError
+from fbsdefilter.errors import ConfigurationError, DivergentLearningError, \
+    ModelBlowUpError
 from fbsdefilter.harness import (
     ConvergenceReport,
     ExperimentConfig,
     FilterSettings,
     GridSettings,
     SweepSettings,
+    _run_jobs,
     config_from_dict,
     estimate_recurrence_coefficient,
     fit_loglog_slope,
@@ -242,6 +246,60 @@ class TestRunExperiment:
         assert [p.name for p in files_a] == [p.name for p in files_b]
         for pa, pb in zip(files_a, files_b):
             assert pa.read_bytes() == pb.read_bytes(), pa.name
+
+
+def test_pooled_jobs_run_in_worker_processes():
+    caller = os.getpid()
+    pooled = _run_jobs([os.getpid] * 2, 2)
+    assert len(pooled) == 2 and caller not in pooled
+    assert _run_jobs([os.getpid] * 2, 1) == [caller, caller]
+
+
+def _warning_job(text: str, delay: float):
+    def job():
+        time.sleep(delay)
+        warnings.warn(text, UserWarning)
+        return text
+    return job
+
+
+def test_pooled_job_warnings_reach_the_caller():
+    # job 0 finishes last, so completion order would put its warning second
+    jobs = [_warning_job("first job's warning", 0.3), _warning_job("second job's warning", 0.0)]
+    with pytest.warns(UserWarning) as record:
+        assert _run_jobs(jobs, 2) == ["first job's warning", "second job's warning"]
+    assert [str(w.message) for w in record] == ["first job's warning",
+                                                "second job's warning"]
+    # a filter on the emitting module applies as it would in this process
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.filterwarnings("ignore", module=__name__)
+        _run_jobs(jobs, 2)
+    assert caught == []
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+def test_pooled_job_error_is_raised_as_in_a_serial_run(tmp_path):
+    messages = []
+    for threads in (1, 2):
+        cfg = ExperimentConfig(
+            model="linear1d", seed=3, out_dir=str(tmp_path / f"threads{threads}"),
+            grid=GridSettings(horizon=0.5, steps=3),
+            filter=FilterSettings(n_particles=100, mc_samples=8, n_kernels=8,
+                                  sgd_steps=200, rate_weights=1e6, rate_bandwidths=1e6),
+            replications=2, threads=threads)
+        with pytest.raises(DivergentLearningError) as info:
+            run_experiment(cfg)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("step 3: non-finite kernel parameters")
+
+    def failing(text):
+        def job():
+            raise ConfigurationError(text)
+        return job
+    with pytest.raises(ConfigurationError, match="^job 1$"):
+        _run_jobs([lambda: 0, failing("job 1"), failing("job 2")], 2)
 
 
 class TestCli:
