@@ -19,10 +19,13 @@ from .rngs import substream
 
 Array = np.ndarray
 
+# grid_filter's transition cutoff, in transition standard deviations
+BAND_SDS = 12.0
+
 
 def normal_pdf(x: Array, mean: float | Array, var: float) -> Array:
     # one expression, so numpy reuses its temporaries in place: the grid
-    # filter calls this on (block, n_nodes) slabs
+    # filter calls this on (block, band) slabs
     return np.exp(-0.5 * (np.asarray(x, dtype=float) - mean) ** 2 / var) \
         / math.sqrt(2.0 * math.pi * var)
 
@@ -149,6 +152,14 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid, observations: Array,
     explicit scheme and applies the Bayesian update on a fixed grid; serves
     as ground truth for nonlinear scalar models where no closed-form filter
     exists.
+
+    The transition is truncated at ``BAND_SDS`` standard deviations: for each
+    block of target nodes only the source nodes whose drifted position
+    ``x + drift(x) dt`` lies within that reach of the block are summed. The
+    dropped terms are below exp(-72) of the kernel's peak, so means and stds
+    move only in the last few bits. The source nodes are picked by a mask
+    because the drifted positions need not be monotone (for the double well,
+    ``x + (x - x^3) dt`` turns back for ``|x|`` beyond about 2.1).
     """
     _require_scalar_state(model, "grid filter")
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
@@ -179,12 +190,16 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid, observations: Array,
         var = sig * sig * dt
         drift_to = xs + np.asarray(model.drift(xs[:, None]), dtype=float)[:, 0] * dt
         weighted = post * weight
+        reach = BAND_SDS * math.sqrt(var)
         prior = np.empty(n_nodes)
-        block = 256  # bounds the (block, n_nodes) transition slab held in memory
+        block = 256  # bounds the (block, band) transition slab held in memory
         for start in range(0, n_nodes, block):
             stop = min(start + block, n_nodes)
-            kernel = normal_pdf(xs[start:stop, None], drift_to[None, :], var)
-            prior[start:stop] = (kernel * weighted[None, :]).sum(axis=1)
+            # a mask, not searchsorted: drift_to need not be monotone in xs
+            cols = np.flatnonzero((drift_to >= xs[start] - reach)
+                                  & (drift_to <= xs[stop - 1] + reach))
+            kernel = normal_pdf(xs[start:stop, None], drift_to[None, cols], var)
+            prior[start:stop] = (kernel * weighted[None, cols]).sum(axis=1)
         lik = Likelihood(observations[k - 1], observations[k], dt,
                          model.obs_map, model.obs_noise(grid.time(k)))
         post = prior * likelihood_density(lik, xs[:, None])

@@ -1,0 +1,87 @@
+import os
+
+import numpy as np
+import pytest
+
+from fbsdefilter.bayes import Likelihood, likelihood_density
+from fbsdefilter.filtering import kalman_filter
+from fbsdefilter.harness import GridSettings, _run_jobs
+from fbsdefilter.model import get_model, simulate_truth
+from fbsdefilter.reference import grid_filter, normal_pdf
+
+SEEDS = range(4)
+
+
+def dense_grid_filter(model, grid, observations, xs):
+    """The grid filter with the full (n_nodes, n_nodes) transition, on given nodes.
+
+    This is the recursion ``grid_filter`` ran before its transition was
+    truncated, kept as the reference the banded one is checked against.
+    """
+    observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    n_nodes = xs.size
+    weight = np.gradient(xs)
+    post = np.asarray(model.initial_density(xs[:, None]), dtype=float)
+    post = post / np.trapezoid(post, xs)
+    posteriors = np.empty((grid.steps + 1, n_nodes))
+    posteriors[0] = post
+    for k in range(1, grid.steps + 1):
+        dt = grid.dt(k)
+        sig = float(np.asarray(model.diffusion(grid.time(k - 1)))[0, 0])
+        var = sig * sig * dt
+        drift_to = xs + np.asarray(model.drift(xs[:, None]), dtype=float)[:, 0] * dt
+        weighted = post * weight
+        prior = np.empty(n_nodes)
+        block = 256
+        for start in range(0, n_nodes, block):
+            stop = min(start + block, n_nodes)
+            kernel = normal_pdf(xs[start:stop, None], drift_to[None, :], var)
+            prior[start:stop] = (kernel * weighted[None, :]).sum(axis=1)
+        lik = Likelihood(observations[k - 1], observations[k], dt,
+                         model.obs_map, model.obs_noise(grid.time(k)))
+        post = prior * likelihood_density(lik, xs[:, None])
+        post = post / np.trapezoid(post, xs)
+        posteriors[k] = post
+    means = np.trapezoid(posteriors * xs[None, :], xs, axis=1)
+    seconds = np.trapezoid(posteriors * xs[None, :] ** 2, xs, axis=1)
+    stds = np.sqrt(np.maximum(seconds - means ** 2, 0.0))
+    return means, stds
+
+
+def _oracle_paths(name):
+    model = get_model(name)
+    grid = GridSettings().build()
+    return model, grid, [simulate_truth(model, grid, seed)[1] for seed in SEEDS]
+
+
+@pytest.mark.parametrize("name", ["doublewell1d", "ou1d"])
+def test_banded_transition_matches_dense(name):
+    # the terms the band drops are below exp(-72) of the kernel's peak, so
+    # only the summation order differs: a few ulps, far below 1e-12
+    model, grid, paths = _oracle_paths(name)
+
+    def drift(obs):
+        banded = grid_filter(model, grid, obs)
+        means, stds = dense_grid_filter(model, grid, obs, banded.xs)
+        return max(np.max(np.abs(banded.means - means) / stds),
+                   np.max(np.abs(banded.stds - stds) / stds))
+
+    drifts = _run_jobs([lambda obs=obs: drift(obs) for obs in paths],
+                       len(os.sched_getaffinity(0)))
+    assert max(drifts) < 1e-12, drifts
+
+
+@pytest.mark.parametrize("name", ["linear1d", "ou1d"])
+def test_grid_filter_matches_kalman_on_linear_models(name):
+    # both are exact for the same explicit Euler chain; trapezoid quadrature
+    # of Gaussian integrands on the grid's span converges spectrally, so the
+    # two agree far below 1e-9 of the posterior std
+    model, grid, paths = _oracle_paths(name)
+    for obs in paths:
+        grid_result = grid_filter(model, grid, obs)
+        kalman = kalman_filter(model.linear, grid, obs)
+        kalman_stds = np.sqrt(kalman.covs[:, 0, 0])
+        np.testing.assert_array_less(
+            np.abs(grid_result.means - kalman.means[:, 0]) / kalman_stds, 1e-9)
+        np.testing.assert_array_less(
+            np.abs(grid_result.stds - kalman_stds) / kalman_stds, 1e-9)
