@@ -88,7 +88,7 @@ def _id_ordered_mean(values: Array, ids: Array) -> float:
 
 
 def _cloud_likelihoods(cloud: ParticleCloud, lik: Likelihood) -> Array:
-    if cloud.dim and lik.dim_obs and cloud.n_particles == 0:
+    if cloud.n_particles == 0:
         raise ConfigurationError("empty particle cloud")
     return likelihood_density(lik, cloud.locations)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .artifacts import write_csv, write_json
@@ -78,16 +78,8 @@ def _cmd_diagnose(args) -> int:
     diag = estimate_recurrence_coefficient(model, grid, obs, seed=cfg.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "model": cfg.model,
-        "r_hat": diag.r_hat,
-        "g_hat": diag.g_hat,
-        "ratio_sup": diag.ratio_sup,
-        "per_step_ratios": list(diag.per_step_ratios),
-        "below_one": diag.below_one,
-        "failed": diag.failed,
-        "message": diag.message,
-    }
+    payload = {"model": cfg.model, **asdict(diag),
+               "per_step_ratios": diag.per_step_ratios.tolist()}
     write_json(out / "recurrence.json", payload)
     verdict = "< 1 (contracting)" if diag.below_one else ">= 1 (no contraction certificate)"
     print(f"recurrence estimate {diag.r_hat:.4f} {verdict}")

@@ -82,14 +82,16 @@ class FilterState:
 def check_contraction(model: StateSpaceModel, cfg: FilterConfig) -> None:
     """Guard the damped fixed-point recursion of the prediction stage.
 
-    With a known divergence bound the check is hard (raises); otherwise the
-    bound is estimated from initial-law samples and violations only warn.
+    A linear model's divergence is the constant trace of its drift matrix,
+    so there the check is exact and hard (raises); otherwise the bound is
+    estimated from initial-law samples and violations only warn.
     """
     dt = cfg.grid.max_dt
-    if model.divergence_bound is not None:
-        if dt * model.divergence_bound >= 0.5:
+    if model.linear is not None:
+        bound = abs(float(np.trace(model.linear.drift_matrix)))
+        if dt * bound >= 0.5:
             raise ConfigurationError(
-                f"dt * divergence bound = {dt * model.divergence_bound:.3g} >= 0.5; "
+                f"dt * divergence bound = {dt * bound:.3g} >= 0.5; "
                 "shrink the time step")
         return
     probe = model.initial_sampler(256, substream(cfg.seed, "contraction-probe"))

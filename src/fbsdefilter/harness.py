@@ -109,21 +109,9 @@ class ConvergenceReport:
             raise ConfigurationError("raw data must be (replications, len(values))")
 
     def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "values": self.values.tolist(),
-            "errors": self.errors.tolist(),
-            "stderrs": self.stderrs.tolist(),
-            "replications": self.replications,
-            "statistic": self.statistic,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "slope_half_width": self.slope_half_width,
-            "theory_slope": self.theory_slope,
-            "notes": self.notes,
-            "g_hat": self.g_hat,
-            "r_hat": self.r_hat,
-        }
+        """Every field but ``raw``, which ``save_report`` writes as a table."""
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in asdict(self).items() if key != "raw"}
 
 
 def _report_from_raw(axis: str, values, raw: Array, statistic: str,
@@ -242,6 +230,14 @@ def _probe_points(mean: float, std: float) -> Array:
     return mean + std * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
+def _initial_moments(model: StateSpaceModel, what: str) -> tuple[float, float]:
+    """Mean and standard deviation of a scalar linear model's initial law."""
+    lin = model.linear
+    if lin is None:
+        raise ConfigurationError(f"{what} study needs initial-law moments")
+    return float(lin.mean0[0]), math.sqrt(float(lin.cov0[0, 0]))
+
+
 def prediction_rate_study(mc_counts=(16, 64, 256, 1024), replications: int = 200,
                           seed: int = 0, model: StateSpaceModel | None = None,
                           dt: float = 0.1, threads: int = 1) -> ConvergenceReport:
@@ -255,11 +251,7 @@ def prediction_rate_study(mc_counts=(16, 64, 256, 1024), replications: int = 200
     if model.dim_state != 1:
         raise ConfigurationError("prediction study needs a scalar-state model")
     counts = sorted(int(m) for m in mc_counts)
-    lin = model.linear
-    if lin is None:
-        raise ConfigurationError("prediction study needs initial-law moments")
-    mean0 = float(lin.mean0[0])
-    std0 = math.sqrt(float(lin.cov0[0, 0]))
+    mean0, std0 = _initial_moments(model, "prediction")
     probes = _probe_points(mean0, std0)
     t_k = dt
     oracle = np.array([
@@ -296,9 +288,7 @@ def denominator_rate_study(particle_counts=(100, 1000, 10000, 100000),
     if model.dim_state != 1 or model.dim_obs != 1:
         raise ConfigurationError("denominator study needs scalar state and observation")
     counts = sorted(int(n) for n in particle_counts)
-    lin = model.linear
-    mean0 = float(lin.mean0[0])
-    std0 = math.sqrt(float(lin.cov0[0, 0]))
+    mean0, std0 = _initial_moments(model, "denominator")
     # a fixed, mildly informative observation increment
     obs_prev = np.zeros(1)
     obs_now = np.array([float(model.obs_map(np.array([mean0 + 0.5 * std0]))[0]) * dt])
@@ -473,11 +463,12 @@ def run_rate_study(axis: str, cfg: ExperimentConfig) -> ConvergenceReport:
     if axis not in AXES:
         raise ConfigurationError(f"axis must be one of {AXES}")
     model = get_model(cfg.model)
-    values = tuple(cfg.sweep.values) if cfg.sweep.axis == axis else None
-    # slope claims need at least 50 replications; below that, use the
-    # per-axis default instead of silently producing an invalid report
-    defaults = {"L": 200, "M": 200, "N": 200, "dt": 2000}
-    reps = cfg.replications if cfg.replications >= 50 else defaults[axis]
+    # each study's signature holds its default grid and replication count;
+    # below 50 replications (too few for a slope claim) the default is used
+    sweep = (cfg.sweep.values,) if cfg.sweep.axis == axis and cfg.sweep.values else ()
+    common = {"seed": cfg.seed, "threads": cfg.threads}
+    if cfg.replications >= 50:
+        common["replications"] = cfg.replications
     if axis == "L":
         if cfg.filter.mc_samples < MC_FLOOR_FOR_KERNEL_SWEEP:
             raise ConfigurationError(
@@ -486,19 +477,14 @@ def run_rate_study(axis: str, cfg: ExperimentConfig) -> ConvergenceReport:
         dim = model.dim_state
         if dim > 2:
             raise ConfigurationError("kernel-rate study supports dim <= 2")
-        return kde_rate_study(values or (250, 1000, 4000, 16000), dim=dim,
-                              replications=reps, seed=cfg.seed, threads=cfg.threads)
+        return kde_rate_study(*sweep, dim=dim, **common)
     if axis == "M":
-        return prediction_rate_study(values or (16, 64, 256, 1024),
-                                     replications=reps, seed=cfg.seed, model=model,
-                                     dt=cfg.grid.build().max_dt, threads=cfg.threads)
+        return prediction_rate_study(*sweep, model=model, dt=cfg.grid.build().max_dt,
+                                     **common)
     if axis == "N":
-        return denominator_rate_study(values or (100, 1000, 10000, 100000),
-                                      replications=reps, seed=cfg.seed, model=model,
-                                      dt=cfg.grid.build().max_dt, threads=cfg.threads)
-    return dt_rate_study(values or (0.1, 0.05, 0.025, 0.0125),
-                         replications=reps, seed=cfg.seed, model=model,
-                         horizon=cfg.grid.horizon, threads=cfg.threads)
+        return denominator_rate_study(*sweep, model=model, dt=cfg.grid.build().max_dt,
+                                      **common)
+    return dt_rate_study(*sweep, model=model, horizon=cfg.grid.horizon, **common)
 
 
 # --- recurrence diagnostic ------------------------------------------------------
@@ -510,7 +496,7 @@ class RecurrenceDiagnostic:
     r_hat: float
     g_hat: float
     ratio_sup: float
-    per_step_ratios: Array
+    per_step_ratios: Array  # one per step; after a failure, the steps before it
     below_one: bool
     failed: bool = False
     message: str = ""
@@ -545,7 +531,7 @@ def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
         if denom <= DENSITY_FLOOR:
             return RecurrenceDiagnostic(
                 r_hat=math.inf, g_hat=g_hat, ratio_sup=math.inf,
-                per_step_ratios=ratios, below_one=False, failed=True,
+                per_step_ratios=ratios[:k - 1], below_one=False, failed=True,
                 message=f"forward likelihood mean underflowed at step {k}")
         mean_k = states.mean(axis=0)
         std_k = states.std(axis=0)

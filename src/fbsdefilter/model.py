@@ -88,7 +88,6 @@ class StateSpaceModel:
     initial_sampler: Callable[[int, np.random.Generator], Array]
     drift_divergence: Callable[[Array], Array] | None = None
     name: str = "custom"
-    divergence_bound: float | None = None
     linear: LinearGaussian | None = None
 
     def __post_init__(self):
@@ -271,71 +270,71 @@ def ou_exact_coupled_step(theta: float, sigma: float, x: Array, dt: float,
 
 # --- model zoo ---------------------------------------------------------------
 
-def _gaussian_density_1d(mean: float, var: float) -> Callable[[Array], Array]:
-    norm = 1.0 / math.sqrt(2.0 * math.pi * var)
+def _gaussian_law(mean, var) -> tuple[Callable[[Array], Array],
+                                      Callable[[int, np.random.Generator], Array]]:
+    """Density and sampler of N(mean, diag(var))."""
+    mean = np.asarray(mean, dtype=float)
+    var = np.asarray(var, dtype=float)
+    std = np.sqrt(var)
+    norm = 1.0 / math.sqrt(float(np.prod(2.0 * math.pi * var)))
 
     def density(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        z = x[..., 0] - mean
-        return norm * np.exp(-0.5 * z * z / var)
-
-    return density
-
-
-def _gaussian_sampler(mean: Array, stds: Array) -> Callable[[int, np.random.Generator], Array]:
-    mean = np.asarray(mean, dtype=float)
-    stds = np.asarray(stds, dtype=float)
+        z = np.asarray(x, dtype=float) - mean
+        return norm * np.exp(-0.5 * (z * z / var).sum(axis=-1))
 
     def sampler(n: int, rng: np.random.Generator) -> Array:
-        return mean + stds * rng.standard_normal((n, mean.size))
+        return mean + std * rng.standard_normal((n, mean.size))
 
-    return sampler
+    return density, sampler
+
+
+def _linear_gaussian_model(name: str, lin: LinearGaussian) -> StateSpaceModel:
+    """The model whose drift, noise, observation map and initial law are ``lin``.
+
+    The initial sampler draws each coordinate independently, so ``cov0``
+    must be diagonal for the model to start from the Kalman prior.
+    """
+    cov0 = lin.cov0
+    if not np.array_equal(cov0, np.diag(np.diag(cov0))):
+        raise ConfigurationError(f"model {name!r}: initial covariance must be diagonal")
+    F, H = lin.drift_matrix, lin.obs_matrix
+    trace = float(np.trace(F))
+    density, sampler = _gaussian_law(lin.mean0, np.diag(cov0))
+    return StateSpaceModel(
+        dim_state=F.shape[0],
+        dim_obs=H.shape[0],
+        drift=lambda x: matvec(F, x),
+        drift_divergence=lambda x: np.full(np.asarray(x).shape[:-1], trace),
+        diffusion=lambda t: lin.diffusion,
+        obs_map=lambda x: matvec(H, x),
+        obs_noise=lambda t: lin.obs_noise,
+        initial_density=density,
+        initial_sampler=sampler,
+        name=name,
+        linear=lin,
+    )
 
 
 def make_linear1d() -> StateSpaceModel:
     """Stable scalar linear model with linear observations (Kalman oracle)."""
-    a, sig, h, r = -0.5, 0.5, 1.0, 0.5
-    mean0, var0 = 0.5, 0.25
-    return StateSpaceModel(
-        dim_state=1,
-        dim_obs=1,
-        drift=lambda x: a * np.asarray(x, dtype=float),
-        drift_divergence=lambda x: np.full(np.asarray(x).shape[:-1], a),
-        diffusion=lambda t: np.array([[sig]]),
-        obs_map=lambda x: h * np.asarray(x, dtype=float),
-        obs_noise=lambda t: np.array([[r]]),
-        initial_density=_gaussian_density_1d(mean0, var0),
-        initial_sampler=_gaussian_sampler([mean0], [math.sqrt(var0)]),
-        name="linear1d",
-        divergence_bound=abs(a),
-        linear=LinearGaussian([[a]], [[h]], [[sig]], [[r]], [mean0], [[var0]]),
-    )
+    return _linear_gaussian_model(
+        "linear1d", LinearGaussian(drift_matrix=[[-0.5]], obs_matrix=[[1.0]],
+                                   diffusion=[[0.5]], obs_noise=[[0.5]],
+                                   mean0=[0.5], cov0=[[0.25]]))
 
 
 def make_ou1d() -> StateSpaceModel:
     """Unit-rate Ornstein-Uhlenbeck model; exact transition density known."""
-    theta, sig, h, r = 1.0, 1.0, 1.0, 1.0
-    mean0, var0 = 0.0, 0.5  # stationary law
-    return StateSpaceModel(
-        dim_state=1,
-        dim_obs=1,
-        drift=lambda x: -theta * np.asarray(x, dtype=float),
-        drift_divergence=lambda x: np.full(np.asarray(x).shape[:-1], -theta),
-        diffusion=lambda t: np.array([[sig]]),
-        obs_map=lambda x: h * np.asarray(x, dtype=float),
-        obs_noise=lambda t: np.array([[r]]),
-        initial_density=_gaussian_density_1d(mean0, var0),
-        initial_sampler=_gaussian_sampler([mean0], [math.sqrt(var0)]),
-        name="ou1d",
-        divergence_bound=theta,
-        linear=LinearGaussian([[-theta]], [[h]], [[sig]], [[r]], [mean0], [[var0]]),
-    )
+    return _linear_gaussian_model(
+        "ou1d", LinearGaussian(drift_matrix=[[-1.0]], obs_matrix=[[1.0]],
+                               diffusion=[[1.0]], obs_noise=[[1.0]],
+                               mean0=[0.0], cov0=[[0.5]]))  # stationary law
 
 
 def make_doublewell1d() -> StateSpaceModel:
     """Bistable drift x - x^3; nonlinear stress test, no closed-form filter."""
     sig, r = 0.5, 0.5
-    mean0, var0 = 1.0, 0.25
+    density, sampler = _gaussian_law([1.0], [0.25])
 
     def drift(x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -353,42 +352,19 @@ def make_doublewell1d() -> StateSpaceModel:
         diffusion=lambda t: np.array([[sig]]),
         obs_map=lambda x: np.asarray(x, dtype=float),
         obs_noise=lambda t: np.array([[r]]),
-        initial_density=_gaussian_density_1d(mean0, var0),
-        initial_sampler=_gaussian_sampler([mean0], [math.sqrt(var0)]),
+        initial_density=density,
+        initial_sampler=sampler,
         name="doublewell1d",
-        divergence_bound=None,  # unbounded over the whole line
     )
 
 
 def make_linear2d() -> StateSpaceModel:
     """Damped rotation in the plane; multidimensional consistency check."""
-    F = np.array([[-0.5, -1.0], [1.0, -0.5]])
-    sig = 0.4 * np.eye(2)
-    H = np.eye(2)
-    R = 0.5 * np.eye(2)
-    mean0 = np.array([0.0, 0.0])
-    cov0 = 0.25 * np.eye(2)
-    norm = 1.0 / (2.0 * math.pi * 0.25)
-
-    def density(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        quad = (x ** 2).sum(axis=-1) / 0.25
-        return norm * np.exp(-0.5 * quad)
-
-    return StateSpaceModel(
-        dim_state=2,
-        dim_obs=2,
-        drift=lambda x: matvec(F, x),
-        drift_divergence=lambda x: np.full(np.asarray(x).shape[:-1], float(np.trace(F))),
-        diffusion=lambda t: sig,
-        obs_map=lambda x: matvec(H, x),
-        obs_noise=lambda t: R,
-        initial_density=density,
-        initial_sampler=_gaussian_sampler(mean0, [0.5, 0.5]),
-        name="linear2d",
-        divergence_bound=abs(float(np.trace(F))),
-        linear=LinearGaussian(F, H, sig, R, mean0, cov0),
-    )
+    return _linear_gaussian_model(
+        "linear2d", LinearGaussian(drift_matrix=[[-0.5, -1.0], [1.0, -0.5]],
+                                   obs_matrix=np.eye(2), diffusion=0.4 * np.eye(2),
+                                   obs_noise=0.5 * np.eye(2), mean0=[0.0, 0.0],
+                                   cov0=0.25 * np.eye(2)))
 
 
 MODEL_ZOO: dict[str, Callable[[], StateSpaceModel]] = {

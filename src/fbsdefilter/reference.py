@@ -19,6 +19,12 @@ from .rngs import substream
 
 Array = np.ndarray
 
+# Node counts and half-widths of the trapezoid rules in gaussian_expectation
+# (in standard deviations), denominator_oracle (in spreads) and grid_filter
+# (its domain padding factor).
+EXPECTATION_NODES, EXPECTATION_SPAN = 4097, 8.0
+DENOMINATOR_NODES, DENOMINATOR_SPAN = 8193, 10.0
+GRID_NODES, GRID_SPAN = 4096, 8.0
 # grid_filter's transition cutoff, in transition standard deviations
 BAND_SDS = 12.0
 
@@ -38,25 +44,45 @@ def _require_scalar_state(model: StateSpaceModel, what: str) -> None:
 def _backward_law(model: StateSpaceModel, t_k: float, x: float,
                   dt: float) -> tuple[float, float]:
     """Mean and variance of a reverse-time sample drawn from x."""
+    if dt < 0:
+        raise ConfigurationError("dt must be nonnegative")
     point = np.array([x])
     mean = float((point - model.drift(point) * dt)[0])
     sig = float(np.asarray(model.diffusion(t_k))[0, 0])
     return mean, sig * sig * dt
 
 
-def gaussian_expectation(f: Callable[[Array], Array], mean: float, var: float,
-                         n_nodes: int = 4097, span: float = 8.0) -> float:
-    """Trapezoid value of E[f(Z)] for Z ~ N(mean, var) on mean +- span std."""
+def gaussian_expectation(f: Callable[[Array], Array], mean: float, var: float) -> float:
+    """Trapezoid value of E[f(Z)] for Z ~ N(mean, var).
+
+    The nodes cover mean +- EXPECTATION_SPAN std; ``f`` maps a 1-d array of
+    nodes to values.  With zero variance Z is the point ``mean``, and the
+    value is ``f(mean)``.
+    """
+    if var == 0:
+        return float(np.asarray(f(np.array([mean])), dtype=float)[0])
     std = math.sqrt(var)
-    xs = np.linspace(mean - span * std, mean + span * std, n_nodes)
+    xs = np.linspace(mean - EXPECTATION_SPAN * std, mean + EXPECTATION_SPAN * std,
+                     EXPECTATION_NODES)
     return float(np.trapezoid(np.asarray(f(xs), dtype=float)
                               * normal_pdf(xs, mean, var), xs))
 
 
+def _left_point_term(prev_density: Callable[[Array], Array], model: StateSpaceModel,
+                     dt: float) -> Callable[[Array], Array]:
+    """One reverse-sample term of the explicit estimator, prev - dt div prev."""
+    def term(xs: Array) -> Array:
+        pts = xs[:, None]
+        vals = np.asarray(prev_density(pts), dtype=float)
+        div = np.asarray(model.drift_divergence(pts), dtype=float)
+        return vals - div * vals * dt
+
+    return term
+
+
 def prediction_oracle_left_point(prev_density: Callable[[Array], Array],
                                  model: StateSpaceModel, t_k: float, x: float,
-                                 dt: float, n_nodes: int = 4097,
-                                 span: float = 8.0) -> float:
+                                 dt: float) -> float:
     """Exact one-step prior value targeted by the explicit prediction variant.
 
     Evaluates E[prev(Z)] - dt * E[divergence(Z) prev(Z)] over the reverse
@@ -66,42 +92,23 @@ def prediction_oracle_left_point(prev_density: Callable[[Array], Array],
     """
     _require_scalar_state(model, "prediction")
     mean, var = _backward_law(model, t_k, x, dt)
-    if var <= 0:
-        pts = np.array([[mean]])
-        val = float(np.asarray(prev_density(pts))[0])
-        div = float(np.asarray(model.drift_divergence(pts))[0])
-        return val - div * val * dt
-
-    def integrand(xs: Array) -> Array:
-        pts = xs[:, None]
-        vals = np.asarray(prev_density(pts), dtype=float)
-        div = np.asarray(model.drift_divergence(pts), dtype=float)
-        return vals - div * vals * dt
-
-    return gaussian_expectation(integrand, mean, var, n_nodes, span)
+    return gaussian_expectation(_left_point_term(prev_density, model, dt), mean, var)
 
 
 def prediction_oracle_right_point(prev_density: Callable[[Array], Array],
                                   model: StateSpaceModel, t_k: float, x: float,
-                                  dt: float, n_nodes: int = 4097,
-                                  span: float = 8.0) -> float:
+                                  dt: float) -> float:
     """Fixed-point limit of the implicit variant: E[prev] / (1 + divergence(x) dt)."""
     _require_scalar_state(model, "prediction")
     mean, var = _backward_law(model, t_k, x, dt)
-    if var <= 0:
-        expectation = float(np.asarray(prev_density(np.array([[mean]])))[0])
-    else:
-        expectation = gaussian_expectation(
-            lambda xs: np.asarray(prev_density(xs[:, None]), dtype=float),
-            mean, var, n_nodes, span)
+    expectation = gaussian_expectation(lambda xs: prev_density(xs[:, None]), mean, var)
     div = float(model.drift_divergence(np.array([x])))
     return expectation / (1.0 + div * dt)
 
 
 def prediction_estimator_variance(prev_density: Callable[[Array], Array],
                                   model: StateSpaceModel, t_k: float, x: float,
-                                  dt: float, n_nodes: int = 4097,
-                                  span: float = 8.0) -> float:
+                                  dt: float) -> float:
     """Variance of a single reverse-sample term of the explicit estimator.
 
     The M-sample estimator is an i.i.d. average, so its mean squared error
@@ -109,26 +116,20 @@ def prediction_estimator_variance(prev_density: Callable[[Array], Array],
     """
     _require_scalar_state(model, "prediction")
     mean, var = _backward_law(model, t_k, x, dt)
-
-    def term(xs: Array) -> Array:
-        pts = xs[:, None]
-        vals = np.asarray(prev_density(pts), dtype=float)
-        div = np.asarray(model.drift_divergence(pts), dtype=float)
-        return vals - div * vals * dt
-
-    first = gaussian_expectation(term, mean, var, n_nodes, span)
-    second = gaussian_expectation(lambda xs: term(xs) ** 2, mean, var, n_nodes, span)
+    term = _left_point_term(prev_density, model, dt)
+    first = gaussian_expectation(term, mean, var)
+    second = gaussian_expectation(lambda xs: term(xs) ** 2, mean, var)
     return max(second - first * first, 0.0)
 
 
 def denominator_oracle(lik: Likelihood, prior_density: Callable[[Array], Array],
-                       center: float, spread: float, n_nodes: int = 8193,
-                       span: float = 10.0) -> float:
+                       center: float, spread: float) -> float:
     """Quadrature value of the observation normalizer integral.
 
-    Integrates likelihood(x) * prior(x) over center +- span spread.
+    Integrates likelihood(x) * prior(x) over center +- DENOMINATOR_SPAN * spread.
     """
-    xs = np.linspace(center - span * spread, center + span * spread, n_nodes)
+    xs = np.linspace(center - DENOMINATOR_SPAN * spread,
+                     center + DENOMINATOR_SPAN * spread, DENOMINATOR_NODES)
     pts = xs[:, None]
     vals = likelihood_density(lik, pts) * np.asarray(prior_density(pts), dtype=float)
     return float(np.trapezoid(vals, xs))
@@ -139,13 +140,13 @@ class GridFilterResult:
     """Posterior densities of the discrete-time chain on a fixed grid."""
 
     xs: Array
-    posteriors: Array  # (steps + 1, n_nodes)
+    posteriors: Array  # (steps + 1, GRID_NODES)
     means: Array
     stds: Array
 
 
-def grid_filter(model: StateSpaceModel, grid: TimeGrid, observations: Array,
-                n_nodes: int = 4096, span: float = 8.0) -> GridFilterResult:
+def grid_filter(model: StateSpaceModel, grid: TimeGrid,
+                observations: Array) -> GridFilterResult:
     """Exact (to quadrature accuracy) filter for the discretized 1-d chain.
 
     Propagates the density through the one-step Gaussian transition of the
@@ -176,13 +177,13 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid, observations: Array,
         states = euler_step(model, grid.time(k - 1), states, dt, noise)
         lo = min(lo, float(states.min()))
         hi = max(hi, float(states.max()))
-    pad = 0.35 * span * max(hi - lo, 1.0)
-    xs = np.linspace(lo - pad, hi + pad, n_nodes)
+    pad = 0.35 * GRID_SPAN * max(hi - lo, 1.0)
+    xs = np.linspace(lo - pad, hi + pad, GRID_NODES)
     weight = np.gradient(xs)
 
     post = np.asarray(model.initial_density(xs[:, None]), dtype=float)
     post = post / np.trapezoid(post, xs)
-    posteriors = np.empty((grid.steps + 1, n_nodes))
+    posteriors = np.empty((grid.steps + 1, GRID_NODES))
     posteriors[0] = post
     for k in range(1, grid.steps + 1):
         dt = grid.dt(k)
@@ -191,10 +192,10 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid, observations: Array,
         drift_to = xs + np.asarray(model.drift(xs[:, None]), dtype=float)[:, 0] * dt
         weighted = post * weight
         reach = BAND_SDS * math.sqrt(var)
-        prior = np.empty(n_nodes)
+        prior = np.empty(GRID_NODES)
         block = 256  # bounds the (block, band) transition slab held in memory
-        for start in range(0, n_nodes, block):
-            stop = min(start + block, n_nodes)
+        for start in range(0, GRID_NODES, block):
+            stop = min(start + block, GRID_NODES)
             # a mask, not searchsorted: drift_to need not be monotone in xs
             cols = np.flatnonzero((drift_to >= xs[start] - reach)
                                   & (drift_to <= xs[stop - 1] + reach))

@@ -22,11 +22,14 @@ from fbsdefilter.filtering import (
 from fbsdefilter.harness import _run_jobs
 from fbsdefilter.kde import KernelDensity, load_density
 from fbsdefilter.learn import TrainConfig
-from fbsdefilter.model import LinearGaussian, TimeGrid, get_model, simulate_truth
+from fbsdefilter.model import MODEL_ZOO, LinearGaussian, TimeGrid, get_model, \
+    simulate_truth
 from fbsdefilter.predict import ParticleCloud, PredictConfig
 from fbsdefilter.rngs import substream
 
 from conftest import make_model_1d
+
+LINEAR_ZOO = [name for name, make in MODEL_ZOO.items() if make().linear is not None]
 
 
 def small_config(grid, seed=0, n_particles=200, mc_samples=16, n_kernels=16,
@@ -354,8 +357,11 @@ class TestBootstrapPf:
         np.testing.assert_allclose(result.weights[1:], 1.0 / 500, rtol=1e-12)
         np.testing.assert_allclose(result.ess[1:], 500.0, rtol=1e-12)
 
-    def test_linear_gaussian_mean_matches_kalman(self):
-        model = get_model("linear1d")
+    # the particle filter runs the model's maps and Kalman its coefficients,
+    # so this checks that both describe the same chain
+    @pytest.mark.parametrize("name", LINEAR_ZOO)
+    def test_linear_gaussian_mean_matches_kalman(self, name):
+        model = get_model(name)
         grid = TimeGrid.uniform(horizon=0.5, steps=5)
         _truth, obs = simulate_truth(model, grid, seed=13)
         n = 10_000
@@ -363,8 +369,9 @@ class TestBootstrapPf:
         kal = kalman_filter(model.linear, grid, obs)
         stds = kal.stds()
         for k in range(1, 6):
-            bound = 4.0 * stds[k, 0] / math.sqrt(n)
-            assert abs(result.means[k, 0] - kal.means[k, 0]) < 4.0 * bound
+            for j in range(model.dim_state):
+                bound = 4.0 * stds[k, j] / math.sqrt(n)
+                assert abs(result.means[k, j] - kal.means[k, j]) < 4.0 * bound
 
     def test_deterministic_dynamics_and_sharp_obs_concentrate(self):
         model = make_model_1d(drift=lambda x: 0.0 * np.asarray(x, dtype=float),

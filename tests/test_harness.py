@@ -167,6 +167,21 @@ class TestRecurrenceDiagnostic:
                                              n_samples=100_000)
         assert abs(d1.r_hat - d2.r_hat) / d1.r_hat < 0.05
 
+    def test_underflow_reports_only_the_steps_computed(self):
+        # an observation increment of 1e4 makes every likelihood at step 3
+        # underflow; the ratios of steps 1-2 depend only on the data so far
+        model = get_model("linear1d")
+        grid = TimeGrid.uniform(horizon=1.0, steps=5)
+        _truth, obs = simulate_truth(model, grid, seed=7)
+        jumped = obs.copy()
+        jumped[3:] += 1e4
+        clean = estimate_recurrence_coefficient(model, grid, obs, seed=7,
+                                                n_samples=2000, n_backward=128)
+        diag = estimate_recurrence_coefficient(model, grid, jumped, seed=7,
+                                               n_samples=2000, n_backward=128)
+        assert diag.failed and "step 3" in diag.message
+        np.testing.assert_array_equal(diag.per_step_ratios, clean.per_step_ratios[:2])
+
     def test_overflowing_drift_raises_blow_up(self):
         # an overflowing forward step must stop the diagnostic, not leave
         # infinite states behind that read as a contraction certificate
@@ -330,6 +345,13 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{bad}:3" in err
+
+    def test_rates_on_model_without_initial_moments_exits_nonzero(self, tmp_path,
+                                                                   capsys):
+        assert cli_main(["rates", "--axis", "N", "--model", "doublewell1d",
+                         "--replications", "50", "--out", str(tmp_path)]) == 2
+        assert "error: denominator study needs initial-law moments" \
+            in capsys.readouterr().err
 
     def test_unknown_field_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad2.json"

@@ -8,7 +8,9 @@ from scipy import stats
 
 from fbsdefilter.errors import ConfigurationError, ModelBlowUpError
 from fbsdefilter.model import (
+    LinearGaussian,
     TimeGrid,
+    _linear_gaussian_model,
     backward_sample,
     check_drift_divergence,
     euler_step,
@@ -193,11 +195,24 @@ class TestInitialLaw:
         else:
             mean_vec = lin.mean0
             var_vec = np.diag(lin.cov0)
+            np.testing.assert_allclose(
+                model.initial_density(draws[:100]),
+                stats.multivariate_normal(lin.mean0, lin.cov0).pdf(draws[:100]),
+                rtol=1e-12)
         for j in range(model.dim_state):
             se_mean = math.sqrt(var_vec[j] / draws.shape[0])
             assert abs(draws[:, j].mean() - mean_vec[j]) < 4.0 * se_mean
             se_var = var_vec[j] * math.sqrt(2.0 / draws.shape[0])
             assert abs(draws[:, j].var(ddof=1) - var_vec[j]) < 4.0 * se_var
+
+    def test_linear_model_refuses_correlated_initial_law(self):
+        # the sampler draws coordinates independently and would not follow
+        # the Kalman prior
+        lin = LinearGaussian(drift_matrix=-np.eye(2), obs_matrix=np.eye(2),
+                             diffusion=np.eye(2), obs_noise=np.eye(2),
+                             mean0=[0.0, 0.0], cov0=[[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(ConfigurationError, match="diagonal"):
+            _linear_gaussian_model("correlated", lin)
 
 
 class TestModelRegistry:

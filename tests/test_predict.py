@@ -22,8 +22,10 @@ from fbsdefilter.predict import (
     predict_value_right_point,
 )
 from fbsdefilter.reference import (
+    gaussian_expectation,
     prediction_estimator_variance,
     prediction_oracle_left_point,
+    prediction_oracle_right_point,
 )
 from fbsdefilter.rngs import substream
 
@@ -292,6 +294,35 @@ class TestPredictCloud:
             errs.append((out.values[row] - oracle) ** 2)
             bounds.append(prediction_estimator_variance(prev, model, grid.time(1), x, dt))
         # across particles, squared errors average to single-term variance / M
+        assert np.mean(errs) <= 3.0 * np.mean(bounds) / m
+
+    def test_one_step_right_point_values_against_quadrature(self):
+        # with decouple_mc the recursion y <- mean - div dt y starts from
+        # prev(x) and contracts by |div dt| = 0.1 per iterate, so after M
+        # iterates it sits at mean / (1 + div dt), where mean averages prev
+        # over M reverse samples: the squared error averages to
+        # Var prev(Z) / (M (1 + div dt)^2)
+        model = get_model("ou1d")
+        grid = self._grid()
+        prev = model.initial_density
+        n, m = 64, 1024
+        locations = model.initial_sampler(n, substream(17, "cloud-quad-right-init"))
+        cloud = ParticleCloud(k=0, locations=locations,
+                              values=prev(locations), stage="posterior")
+        cfg = PredictConfig(mc_samples=m, decouple_mc=True)
+        out = predict_cloud(cloud, prev, model, grid, 1, cfg, seed=78)
+        dt = grid.dt(1)
+        var = float(model.diffusion(grid.time(1))[0, 0]) ** 2 * dt
+        f = lambda xs: prev(xs[:, None])
+        errs, bounds = [], []
+        for row in range(n):
+            x = out.locations[row]
+            oracle = prediction_oracle_right_point(prev, model, grid.time(1), x[0], dt)
+            errs.append((out.values[row] - oracle) ** 2)
+            mean = float((x - model.drift(x) * dt)[0])
+            single_var = (gaussian_expectation(lambda xs: f(xs) ** 2, mean, var)
+                          - gaussian_expectation(f, mean, var) ** 2)
+            bounds.append(single_var / (1.0 + float(model.drift_divergence(x)) * dt) ** 2)
         assert np.mean(errs) <= 3.0 * np.mean(bounds) / m
 
     def test_mismatched_density_shape_rejected(self):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fbsdefilter.bayes import Likelihood, likelihood_density
+from fbsdefilter.errors import ConfigurationError
 from fbsdefilter.filtering import kalman_filter
 from fbsdefilter.harness import GridSettings, _run_jobs
 from fbsdefilter.model import get_model, simulate_truth
-from fbsdefilter.reference import grid_filter, normal_pdf
+from fbsdefilter.reference import grid_filter, normal_pdf, \
+    prediction_estimator_variance, prediction_oracle_right_point
 
 SEEDS = range(4)
 
@@ -85,3 +87,17 @@ def test_grid_filter_matches_kalman_on_linear_models(name):
             np.abs(grid_result.means - kalman.means[:, 0]) / kalman_stds, 1e-9)
         np.testing.assert_array_less(
             np.abs(grid_result.stds - kalman_stds) / kalman_stds, 1e-9)
+
+
+@pytest.mark.parametrize("x", [-1.3, 0.4])
+def test_oracles_without_noise_evaluate_at_the_point(x):
+    # at dt = 0 the reverse sample is x itself: one term has no spread, and
+    # the right-point limit is prev(x)
+    model = get_model("ou1d")
+    prev = model.initial_density
+    assert prediction_estimator_variance(prev, model, 0.0, x, 0.0) == 0.0
+    assert prediction_oracle_right_point(prev, model, 0.0, x, 0.0) \
+        == prev(np.array([[x]]))[0]
+    # a negative step is refused, as the Monte Carlo estimator refuses it
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        prediction_estimator_variance(prev, model, 0.0, x, -0.1)
