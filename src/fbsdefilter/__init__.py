@@ -38,8 +38,8 @@ from .harness import (
     run_rate_study,
 )
 from .kde import (
-    BandwidthSpec,
     KernelDensity,
+    gaussian_bandwidth,
     load_density,
     parzen_estimate,
     phi,
@@ -61,8 +61,7 @@ from .predict import (
     PredictConfig,
     mc_conditional_expectation,
     predict_cloud,
-    predict_value_left_point,
-    predict_value_right_point,
+    predict_value,
 )
 from .rngs import derive_seed, substream
 

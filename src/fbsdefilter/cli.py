@@ -10,30 +10,20 @@ from pathlib import Path
 
 from .artifacts import write_csv, write_json
 from .errors import ConfigurationError, FilterError
-from .harness import ExperimentConfig, config_from_dict, estimate_recurrence_coefficient, \
-    load_config, run_experiment, run_rate_study, save_report
+from .harness import ExperimentConfig, estimate_recurrence_coefficient, load_config, \
+    run_experiment, run_rate_study, save_report
 from .model import get_model, simulate_truth
 
 
+# Override flags and the config field each one sets.
+_OVERRIDES = {"model": "model", "seed": "seed", "out": "out_dir",
+              "replications": "replications", "threads": "threads"}
+
+
 def _load_cfg(args) -> ExperimentConfig:
-    if args.config is not None:
-        cfg = load_config(args.config)
-    else:
-        cfg = config_from_dict({})
-    updates = {}
-    if getattr(args, "model", None):
-        updates["model"] = args.model
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "out", None):
-        updates["out_dir"] = args.out
-    if getattr(args, "replications", None) is not None:
-        updates["replications"] = args.replications
-    if getattr(args, "threads", None) is not None:
-        updates["threads"] = args.threads
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg
+    cfg = load_config(args.config) if args.config is not None else ExperimentConfig()
+    return replace(cfg, **{field: getattr(args, flag) for flag, field in _OVERRIDES.items()
+                           if getattr(args, flag) is not None})
 
 
 def _cmd_simulate(args) -> int:
@@ -130,7 +120,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except json.JSONDecodeError as err:
-        where = args.config if getattr(args, "config", None) else "<config>"
+        where = args.config or "<config>"
         print(f"{where}:{err.lineno}:{err.colno}: invalid config: {err.msg}",
               file=sys.stderr)
         return 2

@@ -25,11 +25,11 @@ from .bayes import DENSITY_FLOOR, Likelihood, denominator_mc, likelihood_density
 from .errors import ConfigurationError
 from .filtering import FilterConfig, bootstrap_pf, kalman_filter, run_filter, \
     write_checkpoint
-from .kde import BandwidthSpec, KernelDensity, parzen_estimate
+from .kde import KernelDensity, mse_rate_exponent, parzen_estimate
 from .learn import TrainConfig
 from .model import StateSpaceModel, TimeGrid, backward_sample, euler_step, get_model, \
     ou_exact_coupled_step, simulate_truth
-from .predict import ParticleCloud, PredictConfig, predict_value_left_point
+from .predict import ParticleCloud, PredictConfig, predict_value
 from .reference import denominator_oracle, grid_filter, \
     prediction_oracle_left_point
 from .rngs import derive_seed, substream
@@ -41,6 +41,9 @@ AXES = ("L", "M", "N", "dt")
 # Encodes the required limit ordering: the inner sample count must be safely
 # large before a kernel-count sweep means anything.
 MC_FLOOR_FOR_KERNEL_SWEEP = 256
+
+# Fewest replications behind a slope claim.
+REPLICATION_FLOOR = 50
 
 
 class LoglogFit(NamedTuple):
@@ -92,7 +95,6 @@ class ConvergenceReport:
     raw: Array  # (replications, len(values)); enough to refit the slope
     notes: str = ""
     g_hat: float | None = None
-    r_hat: float | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -103,8 +105,9 @@ class ConvergenceReport:
             raise ConfigurationError(f"axis must be one of {AXES}")
         if self.values.size < 4 or not np.all(np.diff(self.values) > 0):
             raise ConfigurationError("sweep grid must be strictly increasing with >= 4 points")
-        if self.replications < 50:
-            raise ConfigurationError("slope claims need at least 50 replications")
+        if self.replications < REPLICATION_FLOOR:
+            raise ConfigurationError(
+                f"slope claims need at least {REPLICATION_FLOOR} replications")
         if self.raw.shape != (self.replications, self.values.size):
             raise ConfigurationError("raw data must be (replications, len(values))")
 
@@ -213,16 +216,13 @@ def kde_rate_study(sample_counts=(250, 1000, 4000, 16000), dim: int = 1,
         rng = substream(seed, "kde-rate", rep)
         out = np.empty(len(counts))
         for j, n in enumerate(counts):
-            samples = rng.standard_normal((n, dim))
-            spec = BandwidthSpec.gaussian(n=n, dim=dim, density_sup=truth)
-            est = parzen_estimate(samples if dim > 1 else samples[:, 0], spec, query)
+            est = parzen_estimate(rng.standard_normal((n, dim)), query, truth)
             out[j] = (est - truth) ** 2
         return out
 
     raw = np.stack(_run_jobs([lambda r=r: one_rep(r) for r in range(replications)],
                              threads))
-    theory = -2.0 * 2 / (2 * 2 + dim)
-    return _report_from_raw("L", counts, raw, "mse", theory,
+    return _report_from_raw("L", counts, raw, "mse", -mse_rate_exponent(dim),
                             notes=f"standard normal target, dim={dim}, query at origin")
 
 
@@ -266,8 +266,8 @@ def prediction_rate_study(mc_counts=(16, 64, 256, 1024), replications: int = 200
             sq = 0.0
             for p, x in enumerate(probes):
                 rng = substream(seed, "pred-rate", rep, j, p)
-                est = predict_value_left_point(model.initial_density, model, t_k,
-                                               np.array([x]), dt, cfg, rng)
+                est = predict_value(model.initial_density, model, t_k, np.array([x]),
+                                    dt, cfg, rng)
                 sq += (est - oracle[p]) ** 2
             out[j] = sq / probes.size
         return out
@@ -372,17 +372,18 @@ class FilterSettings:
     mc_samples: int = 32
     n_kernels: int = 24
     sgd_steps: int = 2000
-    variant: str = "right_point_fixed_point"
-    decouple_mc: bool = False
-    rate_weights: float = 0.05
-    rate_bandwidths: float = 0.02
-    center_rule: str = "uniform_subsample"
+    variant: str = PredictConfig.variant
+    decouple_mc: bool = PredictConfig.decouple_mc
+    rate_weights: float = TrainConfig.rate_weights
+    rate_bandwidths: float = TrainConfig.rate_bandwidths
+    center_rule: str = TrainConfig.center_rule
 
 
 @dataclass
 class SweepSettings:
-    axis: str = "M"
-    values: tuple = (16, 64, 256, 1024)
+    """Grid of the axis a rate study sweeps; empty keeps the study's own grid."""
+
+    values: tuple = ()
 
 
 @dataclass
@@ -399,8 +400,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1 or self.threads < 1:
             raise ConfigurationError("replications and threads must be >= 1")
-        if self.sweep.axis not in AXES:
-            raise ConfigurationError(f"sweep axis must be one of {AXES}")
         if len(self.sweep.values) and min(self.sweep.values) <= 0:
             raise ConfigurationError("sweep values must be positive")
 
@@ -427,8 +426,6 @@ def _build_section(cls, data: dict, section: str):
     for key in data:
         if key not in valid:
             raise ConfigurationError(f"unknown field {key!r} in section {section!r}")
-    if cls is SweepSettings and "values" in data:
-        data = dict(data, values=tuple(data["values"]))
     return cls(**data)
 
 
@@ -454,21 +451,22 @@ def load_config(path) -> ExperimentConfig:
 
 
 def run_rate_study(axis: str, cfg: ExperimentConfig) -> ConvergenceReport:
-    """Dispatch one axis sweep, enforcing the limit-ordering floor.
+    """Sweep ``axis`` over ``cfg.sweep.values``, or the study's own grid if empty.
 
-    A kernel-count sweep only measures the kernel rate when the inner sample
-    count is already large, so such sweeps are refused below the documented
-    floor.
+    Fewer than ``REPLICATION_FLOOR`` replications are refused, and so is a
+    kernel-count sweep below the documented inner-sample floor: it only
+    measures the kernel rate when the inner sample count is already large.
     """
     if axis not in AXES:
         raise ConfigurationError(f"axis must be one of {AXES}")
+    if cfg.replications < REPLICATION_FLOOR:
+        raise ConfigurationError(
+            f"a rate study needs replications >= {REPLICATION_FLOOR} for a slope "
+            f"claim (got {cfg.replications}); pass --replications {REPLICATION_FLOOR} "
+            f"or more")
     model = get_model(cfg.model)
-    # each study's signature holds its default grid and replication count;
-    # below 50 replications (too few for a slope claim) the default is used
-    sweep = (cfg.sweep.values,) if cfg.sweep.axis == axis and cfg.sweep.values else ()
-    common = {"seed": cfg.seed, "threads": cfg.threads}
-    if cfg.replications >= 50:
-        common["replications"] = cfg.replications
+    sweep = (cfg.sweep.values,) if cfg.sweep.values else ()
+    common = {"seed": cfg.seed, "threads": cfg.threads, "replications": cfg.replications}
     if axis == "L":
         if cfg.filter.mc_samples < MC_FLOOR_FOR_KERNEL_SWEEP:
             raise ConfigurationError(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -190,96 +189,42 @@ def load_density(path) -> KernelDensity:
 
 # --- classical fixed-bandwidth estimator ------------------------------------
 
-@dataclass(frozen=True)
-class BandwidthSpec:
-    """Inputs of the closed-form mean-square-optimal bandwidth.
+def mse_rate_exponent(dim: int) -> float:
+    """Decay exponent of the estimator's mean-squared error in the sample count."""
+    return 4.0 / (4 + dim)
 
-    ``moment_constant`` is the squared kernel-moment factor, and
-    ``roughness_constant`` is the kernel roughness scaled by the sup of the
-    target density; both enter the optimal bandwidth
-    ``h = (roughness * dim / (2 * order * n * sobolev^2 * moment))^(1/(2*order+dim))``.
+
+def gaussian_bandwidth(n: int, dim: int, density_sup: float) -> float:
+    """AMISE-optimal bandwidth of the standard normal kernel for n samples.
+
+    The rule of Wand & Jones, *Kernel Smoothing* (1995), for a second-order
+    kernel; ``density_sup`` bounds the target density.  The Holder step uses
+    p = q = 2, whose factor ``(q + 1)^(2/q)`` is 3.
     """
-
-    n: int
-    dim: int
-    kernel_order: int = 2
-    moment_constant: float = 1.0
-    roughness_constant: float = 1.0
-    sobolev_bound: float = 1.0
-    density_sup: float = 1.0
-
-    def __post_init__(self):
-        if self.n < 1 or self.dim < 1 or self.kernel_order < 1:
-            raise ConfigurationError("n, dim and kernel_order must be positive")
-        if min(self.moment_constant, self.roughness_constant, self.sobolev_bound,
-               self.density_sup) <= 0:
-            raise ConfigurationError("bandwidth constants must be positive")
-
-    @property
-    def bandwidth(self) -> float:
-        m = self.kernel_order
-        num = self.roughness_constant * self.dim
-        den = 2.0 * m * self.n * self.sobolev_bound ** 2 * self.moment_constant
-        return (num / den) ** (1.0 / (2 * m + self.dim))
-
-    @property
-    def rate_exponent(self) -> float:
-        """Mean-squared-error decay exponent in the sample count."""
-        m = self.kernel_order
-        return 2.0 * m / (2.0 * m + self.dim)
-
-    @property
-    def shape_factor(self) -> float:
-        m, d = self.kernel_order, self.dim
-        p = 2.0 * m / (2 * m + d)
-        return (2 * m + d) / ((2.0 * m) ** p * d ** (d / (2 * m + d)))
-
-    @property
-    def error_constant(self) -> float:
-        """Leading constant of the optimal mean-squared error."""
-        m, d = self.kernel_order, self.dim
-        a = self.sobolev_bound ** 2 * self.moment_constant
-        return self.shape_factor * a ** (d / (2 * m + d)) \
-            * self.roughness_constant ** (2.0 * m / (2 * m + d))
-
-    @classmethod
-    def gaussian(cls, n: int, dim: int, density_sup: float) -> "BandwidthSpec":
-        """Constants for the standard normal kernel (order 2).
-
-        ``density_sup`` has no observable truth in practice; the documented
-        plug-in heuristic is the largest observed density value.  The Sobolev
-        bound is 1, and the Holder step uses p = q = 2, whose factor
-        ``(q + 1)^(2/q)`` is 3.
-        """
-        # E[(sum_i |Z_i|)^2] for a standard normal vector
-        abs_moment_sq = dim + dim * (dim - 1) * (2.0 / math.pi)
-        moment = abs_moment_sq ** 2 / 3.0
-        roughness = density_sup * (4.0 * math.pi) ** (-dim / 2.0)
-        return cls(n=n, dim=dim, kernel_order=2, moment_constant=moment,
-                   roughness_constant=roughness, density_sup=density_sup)
+    if n < 1 or dim < 1:
+        raise ConfigurationError("n and dim must be positive")
+    if density_sup <= 0:
+        raise ConfigurationError("density_sup must be positive")
+    # E[(sum_i |Z_i|)^2] for a standard normal vector
+    abs_moment_sq = dim + dim * (dim - 1) * (2.0 / math.pi)
+    moment = abs_moment_sq ** 2 / 3.0
+    roughness = density_sup * (4.0 * math.pi) ** (-dim / 2.0)
+    return (roughness * dim / (4.0 * n * moment)) ** (1.0 / (4 + dim))
 
 
-def plugin_density_sup(values: Iterable[float]) -> float:
-    """Plug-in estimate of the density sup: the largest observed value."""
-    sup = float(np.max(np.asarray(list(values), dtype=float)))
-    if sup <= 0:
-        raise ConfigurationError("observed density values must include a positive one")
-    return sup
-
-
-def parzen_estimate(samples: Array, spec: BandwidthSpec, x):
+def parzen_estimate(samples: Array, x, density_sup: float):
     """Fixed-bandwidth average-of-kernels density estimate at x.
 
-    Uses the standard normal kernel, i.e. the normalised bump at bandwidth
-    ``sqrt(2) * h``, with the closed-form bandwidth ``h`` from ``spec``;
-    ``spec.n`` must match the number of samples.
+    ``samples`` is ``(n, dim)``, or ``(n,)`` in one dimension.  Uses the
+    standard normal kernel, i.e. the normalised bump at bandwidth
+    ``sqrt(2) * h``, with ``h = gaussian_bandwidth(n, dim, density_sup)``.
     """
-    pts, _ = _as_points(samples, spec.dim)
-    if pts.shape[0] != spec.n:
-        raise ConfigurationError(f"spec.n={spec.n} but {pts.shape[0]} samples given")
-    query, single = _as_points(x, spec.dim)
-    h = spec.bandwidth
+    samples = np.asarray(samples, dtype=float)
+    dim = samples.shape[1] if samples.ndim == 2 else 1
+    pts, _ = _as_points(samples, dim)
+    query, single = _as_points(x, dim)
+    h = gaussian_bandwidth(pts.shape[0], dim, density_sup)
     _sq, bumps = _bumps(query, pts, math.sqrt(2.0) * h)
-    kernel_norm = (2.0 * math.pi) ** (-spec.dim / 2.0)
-    out = (kernel_norm * bumps).mean(axis=1) / h ** spec.dim
+    kernel_norm = (2.0 * math.pi) ** (-dim / 2.0)
+    out = (kernel_norm * bumps).mean(axis=1) / h ** dim
     return float(out[0]) if single else out

@@ -179,31 +179,17 @@ def mc_conditional_expectation(f: Callable[[Array], Array], model: StateSpaceMod
     return _scalar_value(f, model, t_k, x_k, dt, mc_samples, None, rng)
 
 
-def predict_value_right_point(prev_density: Callable[[Array], Array],
-                              model: StateSpaceModel, t_k: float, x_k: Array,
-                              dt: float, cfg: PredictConfig,
-                              rng: np.random.Generator) -> float:
-    """Prior value at x_k from the implicit (right-endpoint) discretization.
+def predict_value(prev_density: Callable[[Array], Array], model: StateSpaceModel,
+                  t_k: float, x_k: Array, dt: float, cfg: PredictConfig,
+                  rng: np.random.Generator) -> float:
+    """Prior value at x_k from the discretization ``cfg.variant`` names.
 
-    Starts the recursion at the previous density evaluated at x_k itself and
-    damps it with the drift divergence at x_k.
+    ``right_point_fixed_point`` (implicit) starts the recursion at the
+    previous density evaluated at x_k itself and damps it with the drift
+    divergence at x_k.  ``left_point`` (explicit) takes both expectations over
+    the same reverse samples: the mean of the previous density minus dt times
+    the mean of divergence-weighted values.
     """
-    if cfg.variant != "right_point_fixed_point":
-        raise ConfigurationError("cfg.variant must be 'right_point_fixed_point'")
-    return _scalar_value(prev_density, model, t_k, x_k, dt, cfg.mc_samples, cfg, rng)
-
-
-def predict_value_left_point(prev_density: Callable[[Array], Array],
-                             model: StateSpaceModel, t_k: float, x_k: Array,
-                             dt: float, cfg: PredictConfig,
-                             rng: np.random.Generator) -> float:
-    """Prior value at x_k from the explicit (left-endpoint) discretization.
-
-    Both expectations run over the same reverse samples: the mean of the
-    previous density minus dt times the mean of divergence-weighted values.
-    """
-    if cfg.variant != "left_point":
-        raise ConfigurationError("cfg.variant must be 'left_point'")
     return _scalar_value(prev_density, model, t_k, x_k, dt, cfg.mc_samples, cfg, rng)
 
 

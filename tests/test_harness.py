@@ -105,7 +105,7 @@ class TestRunRateStudy:
     def test_kernel_sweep_requires_large_inner_sample_count(self):
         cfg = ExperimentConfig(model="linear1d", replications=60,
                                filter=FilterSettings(mc_samples=16),
-                               sweep=SweepSettings(axis="L", values=(250, 500, 1000, 2000)))
+                               sweep=SweepSettings(values=(250, 500, 1000, 2000)))
         with pytest.raises(ConfigurationError, match="mc_samples"):
             run_rate_study("L", cfg)
 
@@ -113,11 +113,11 @@ class TestRunRateStudy:
         cfg = ExperimentConfig(
             model="ou1d", seed=3, replications=50,
             filter=FilterSettings(mc_samples=512),
-            sweep=SweepSettings(axis="M", values=(8, 16, 32, 64)))
+            sweep=SweepSettings(values=(8, 16, 32, 64)))
         report = run_rate_study("M", cfg)
         assert report.axis == "M"
         assert report.slope == pytest.approx(-1.0, abs=0.3)
-        cfg_l = replace(cfg, sweep=SweepSettings(axis="L", values=(100, 200, 400, 800)))
+        cfg_l = replace(cfg, sweep=SweepSettings(values=(100, 200, 400, 800)))
         report_l = run_rate_study("L", cfg_l)
         assert report_l.axis == "L"
         assert report_l.theory_slope == pytest.approx(-0.8)
@@ -128,7 +128,7 @@ class TestRunRateStudy:
 
     def test_slope_recomputable_from_raw_data(self):
         cfg = ExperimentConfig(model="ou1d", seed=7, replications=60,
-                               sweep=SweepSettings(axis="M", values=(8, 16, 32, 64)))
+                               sweep=SweepSettings(values=(8, 16, 32, 64)))
         report = run_rate_study("M", cfg)
         refit = fit_loglog_slope(report.values, report.raw.mean(axis=0))
         assert refit.slope == pytest.approx(report.slope, rel=1e-12)
@@ -215,7 +215,7 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(replications=0)
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(sweep=SweepSettings(axis="M", values=(0, 1)))
+            ExperimentConfig(sweep=SweepSettings(values=(0, 1)))
 
 
 class TestRunExperiment:
@@ -355,6 +355,27 @@ class TestCli:
 
     def test_unknown_field_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad2.json"
-        bad.write_text('{"modle": "linear1d"}')
-        assert cli_main(["filter", "--config", str(bad)]) == 2
-        assert "unknown field" in capsys.readouterr().err
+        for text, message in (
+                ('{"modle": "linear1d"}', "unknown field 'modle' at config root"),
+                ('{"sweep": {"axis": "M", "values": [16, 64, 256, 1024]}}',
+                 "unknown field 'axis' in section 'sweep'")):
+            bad.write_text(text)
+            assert cli_main(["filter", "--config", str(bad)]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_rates_below_replication_floor_exits_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "rates"
+        assert cli_main(["rates", "--axis", "N", "--model", "ou1d",
+                         "--replications", "10", "--out", str(out)]) == 2
+        assert "replications >= 50" in capsys.readouterr().err
+        assert not (out / "rates_N.json").exists()
+
+    def test_rates_sweep_values_apply_to_the_axis_run(self, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text('{"sweep": {"values": [50, 100, 200, 400]}}')
+        out = tmp_path / "rates"
+        assert cli_main(["rates", "--axis", "N", "--config", str(cfg),
+                         "--replications", "50", "--out", str(out)]) == 0
+        payload = json.loads((out / "rates_N.json").read_text())
+        assert payload["values"] == [50, 100, 200, 400]
+        assert payload["replications"] == 50

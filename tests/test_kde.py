@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from fbsdefilter.errors import ConfigurationError, EmptyDensityError
 from fbsdefilter.kde import (
-    BandwidthSpec,
     KernelDensity,
+    gaussian_bandwidth,
     load_density,
+    mse_rate_exponent,
     parzen_estimate,
     phi,
-    plugin_density_sup,
     save_density,
 )
 from fbsdefilter.rngs import substream
@@ -163,34 +163,32 @@ class TestSerialization:
 
 class TestBandwidthSpec:
     def test_closed_form_value(self):
-        spec = BandwidthSpec(n=1000, dim=1, kernel_order=2, moment_constant=1.0,
-                             roughness_constant=1.0, sobolev_bound=1.0)
-        assert spec.bandwidth == pytest.approx((1.0 / 4000.0) ** 0.2, rel=1e-12)
-        assert spec.bandwidth == pytest.approx(0.19037, abs=5e-6)
+        # dim 1: (density_sup / sqrt(4 pi) / (4 n / 3))^(1/5)
+        h = gaussian_bandwidth(n=1000, dim=1, density_sup=0.4)
+        want = (0.4 / math.sqrt(4 * math.pi) / (4000.0 / 3.0)) ** 0.2
+        assert h == pytest.approx(want, rel=1e-12)
+        assert h == pytest.approx(0.15329, abs=5e-6)
+        with pytest.raises(ConfigurationError):
+            gaussian_bandwidth(n=0, dim=1, density_sup=0.4)
+        with pytest.raises(ConfigurationError):
+            gaussian_bandwidth(n=10, dim=1, density_sup=0.0)
 
     def test_rate_exponent(self):
-        assert BandwidthSpec(n=10, dim=1).rate_exponent == pytest.approx(0.8)
-        assert BandwidthSpec(n=10, dim=2).rate_exponent == pytest.approx(2.0 / 3.0)
+        assert mse_rate_exponent(1) == pytest.approx(0.8)
+        assert mse_rate_exponent(2) == pytest.approx(2.0 / 3.0)
 
     def test_gaussian_constants_positive_and_scale(self):
-        spec = BandwidthSpec.gaussian(n=500, dim=1, density_sup=0.4)
-        assert spec.bandwidth > 0
-        assert spec.error_constant > 0
+        h = gaussian_bandwidth(n=500, dim=1, density_sup=0.4)
+        assert h > 0
         # doubling n shrinks h by 2^{-1/5}
-        spec2 = BandwidthSpec.gaussian(n=1000, dim=1, density_sup=0.4)
-        assert spec2.bandwidth / spec.bandwidth == pytest.approx(2 ** -0.2, rel=1e-12)
-
-    def test_plugin_sup(self):
-        assert plugin_density_sup([0.1, 0.7, 0.3]) == 0.7
-        with pytest.raises(ConfigurationError):
-            plugin_density_sup([0.0, -1.0])
+        h2 = gaussian_bandwidth(n=1000, dim=1, density_sup=0.4)
+        assert h2 / h == pytest.approx(2 ** -0.2, rel=1e-12)
 
 
 class TestParzenEstimate:
     def test_single_sample_at_query_point(self):
-        spec = BandwidthSpec(n=1, dim=1, moment_constant=1.0, roughness_constant=1.0)
-        h = spec.bandwidth
-        val = parzen_estimate(np.array([0.4]), spec, 0.4)
+        h = gaussian_bandwidth(n=1, dim=1, density_sup=0.4)
+        val = parzen_estimate(np.array([0.4]), 0.4, 0.4)
         assert val == pytest.approx((2 * math.pi) ** -0.5 / h, rel=1e-12)
 
     def test_pointwise_error_shrinks_with_samples(self):
@@ -200,12 +198,6 @@ class TestParzenEstimate:
         for n in (400, 12800):
             sq = 0.0
             for _ in range(40):
-                spec = BandwidthSpec.gaussian(n=n, dim=1, density_sup=truth)
-                sq += (parzen_estimate(rng.standard_normal(n), spec, 0.0) - truth) ** 2
+                sq += (parzen_estimate(rng.standard_normal(n), 0.0, truth) - truth) ** 2
             errs.append(sq / 40)
         assert errs[1] < errs[0] * 0.2
-
-    def test_sample_count_mismatch_rejected(self):
-        spec = BandwidthSpec(n=5, dim=1)
-        with pytest.raises(ConfigurationError):
-            parzen_estimate(np.zeros(4), spec, 0.0)

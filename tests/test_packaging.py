@@ -1,10 +1,17 @@
 import ast
+import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import fbsdefilter
+from fbsdefilter.cli import build_parser
+from fbsdefilter.harness import REPLICATION_FLOOR, config_from_dict
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 IMPORT_ALL_WITHOUT_SCIPY = """
 import importlib, pkgutil, sys
@@ -74,3 +81,32 @@ def test_generators_are_built_only_in_rngs():
             offenders += [f"{path.name}:{call.lineno}: generator built"
                           for call in _calls(tree, {"Philox", "Generator"})]
     assert offenders == []
+
+
+def _fenced_blocks(text: str) -> list[tuple[str, str]]:
+    """(language, body) of every fenced code block in a markdown text."""
+    return re.findall(r"^```(\w*)\n(.*?)^```", text, flags=re.M | re.S)
+
+
+def test_readme_examples_parse():
+    # the command lines and the JSON config README shows are the CLI contract
+    # and the config schema as they stand
+    blocks = _fenced_blocks(README.read_text(encoding="utf-8"))
+    commands = [shlex.split(line, comments=True)[1:] for _lang, body in blocks
+                for line in body.splitlines() if line.startswith("fbsdefilter ")]
+    assert len(commands) >= 8
+    parser = build_parser()
+    offenders = []
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            offenders.append(f"does not parse: {shlex.join(argv)}")
+            continue
+        if argv[0] == "rates" and (args.replications or 0) < REPLICATION_FLOOR:
+            offenders.append(f"fewer than {REPLICATION_FLOOR} replications: "
+                             f"{shlex.join(argv)}")
+    assert offenders == []
+    configs = [body for lang, body in blocks if lang == "json"]
+    assert len(configs) == 1
+    config_from_dict(json.loads(configs[0]))

@@ -18,8 +18,7 @@ from fbsdefilter.predict import (
     PredictConfig,
     mc_conditional_expectation,
     predict_cloud,
-    predict_value_left_point,
-    predict_value_right_point,
+    predict_value,
 )
 from fbsdefilter.reference import (
     gaussian_expectation,
@@ -86,11 +85,11 @@ class TestRightPoint:
         x, dt = np.array([0.5]), 0.1
         want = mc_conditional_expectation(f, model, 0.1, x, dt, 32,
                                           substream(4, "rp-zero-div"))
-        decoupled = predict_value_right_point(
+        decoupled = predict_value(
             f, model, 0.1, x, dt, PredictConfig(mc_samples=32, decouple_mc=True),
             substream(4, "rp-zero-div"))
         assert decoupled == want  # bitwise, identical stream and accumulation
-        coupled = predict_value_right_point(
+        coupled = predict_value(
             f, model, 0.1, x, dt, PredictConfig(mc_samples=32),
             substream(4, "rp-zero-div"))
         # running average ends at the same mean up to summation order
@@ -102,7 +101,7 @@ class TestRightPoint:
                               divergence=lambda x: np.ones(np.asarray(x).shape[:-1]))
         const = lambda pts: np.ones(len(pts))
         dt = 0.1
-        values = [predict_value_right_point(
+        values = [predict_value(
             const, model, 0.1, np.array([0.0]), dt,
             PredictConfig(mc_samples=m, decouple_mc=True), substream(5, "rp-geo", m))
             for m in (1, 2, 3, 12)]
@@ -116,7 +115,7 @@ class TestRightPoint:
         model = make_model_1d(drift=lambda x: np.asarray(x, dtype=float),
                               divergence=lambda x: np.full(np.asarray(x).shape[:-1], damping / 0.1))
         const = lambda pts: np.full(len(pts), 0.7)
-        vals = [predict_value_right_point(
+        vals = [predict_value(
             const, model, 0.1, np.array([0.0]), 0.1,
             PredictConfig(mc_samples=m, decouple_mc=True), substream(6, "rp-ratio", m))
             for m in range(1, 11)]
@@ -130,9 +129,8 @@ class TestRightPoint:
         model = make_model_1d(drift=lambda x: np.asarray(x, dtype=float),
                               divergence=lambda x: np.full(np.asarray(x).shape[:-1], 50.0))
         f = gauss_density(0.0, 1.0)
-        got = predict_value_right_point(f, model, 0.1, np.array([0.3]), 0.0,
-                                        PredictConfig(mc_samples=16),
-                                        substream(7, "rp-dt0"))
+        got = predict_value(f, model, 0.1, np.array([0.3]), 0.0,
+                            PredictConfig(mc_samples=16), substream(7, "rp-dt0"))
         want = mc_conditional_expectation(f, model, 0.1, np.array([0.3]), 0.0, 16,
                                           substream(7, "rp-dt0"))
         assert got == want
@@ -142,9 +140,9 @@ class TestRightPoint:
                               divergence=lambda x: np.full(np.asarray(x).shape[:-1], 500.0))
         const = lambda pts: np.ones(len(pts))
         with pytest.raises(ContractionError, match="step size"):
-            predict_value_right_point(const, model, 0.1, np.array([0.0]), 0.1,
-                                      PredictConfig(mc_samples=64, decouple_mc=True),
-                                      substream(8, "rp-diverge"))
+            predict_value(const, model, 0.1, np.array([0.0]), 0.1,
+                          PredictConfig(mc_samples=64, decouple_mc=True),
+                          substream(8, "rp-diverge"))
 
 
 class TestLeftPoint:
@@ -152,8 +150,8 @@ class TestLeftPoint:
         model = make_model_1d(drift=lambda x: 0.0 * np.asarray(x, dtype=float) + 0.2)
         f = gauss_density(-0.3, 1.4)
         cfg = PredictConfig(mc_samples=48, variant="left_point")
-        got = predict_value_left_point(f, model, 0.1, np.array([0.1]), 0.2, cfg,
-                                       substream(9, "lp-zero-div"))
+        got = predict_value(f, model, 0.1, np.array([0.1]), 0.2, cfg,
+                            substream(9, "lp-zero-div"))
         want = mc_conditional_expectation(f, model, 0.1, np.array([0.1]), 0.2, 48,
                                           substream(9, "lp-zero-div"))
         assert got == want
@@ -164,9 +162,9 @@ class TestLeftPoint:
         model = make_model_1d(drift=lambda x: np.asarray(x, dtype=float),
                               divergence=lambda x: np.full(np.asarray(x).shape[:-1], c))
         const = lambda pts: np.ones(len(pts))
-        got = predict_value_left_point(const, model, 0.1, np.array([0.0]), dt,
-                                       PredictConfig(mc_samples=13, variant="left_point"),
-                                       substream(10, "lp-const"))
+        got = predict_value(const, model, 0.1, np.array([0.0]), dt,
+                            PredictConfig(mc_samples=13, variant="left_point"),
+                            substream(10, "lp-const"))
         assert got == 1.0 - c * dt
 
     def test_mse_matches_single_sample_variance(self):
@@ -179,8 +177,8 @@ class TestLeftPoint:
         single_var = prediction_estimator_variance(prev, model, dt, x, dt)
         cfg = PredictConfig(mc_samples=m, variant="left_point")
         sq = [
-            (predict_value_left_point(prev, model, dt, np.array([x]), dt, cfg,
-                                      substream(11, "lp-mse", rep)) - oracle) ** 2
+            (predict_value(prev, model, dt, np.array([x]), dt, cfg,
+                           substream(11, "lp-mse", rep)) - oracle) ** 2
             for rep in range(200)
         ]
         mse = float(np.mean(sq))
@@ -199,8 +197,8 @@ class TestLeftPoint:
         mses = []
         for j, m in enumerate(counts):
             cfg = PredictConfig(mc_samples=m, variant="left_point")
-            sq = [(predict_value_left_point(prev, model, dt, np.array([x]), dt, cfg,
-                                            substream(12, "lp-rate", j, rep)) - oracle) ** 2
+            sq = [(predict_value(prev, model, dt, np.array([x]), dt, cfg,
+                                 substream(12, "lp-rate", j, rep)) - oracle) ** 2
                   for rep in range(150)]
             mses.append(np.mean(sq))
         fit = fit_loglog_slope(counts, mses)
@@ -212,11 +210,10 @@ class TestLeftPoint:
         assume(abs(slope) * dt < 0.45)
         model = make_model_1d(drift=lambda x: slope * np.asarray(x, dtype=float))
         f = gauss_density(0.0, 1.0)
-        for variant, fn in (("left_point", predict_value_left_point),
-                            ("right_point_fixed_point", predict_value_right_point)):
+        for variant in ("left_point", "right_point_fixed_point"):
             cfg = PredictConfig(mc_samples=8, variant=variant)
-            val = fn(f, model, dt, np.array([0.5]), dt, cfg,
-                     substream(13, "finite", int(slope * 1000), int(dt * 1e5)))
+            val = predict_value(f, model, dt, np.array([0.5]), dt, cfg,
+                                substream(13, "finite", int(slope * 1000), int(dt * 1e5)))
             assert np.isfinite(val)
 
 
@@ -263,16 +260,15 @@ class TestPredictCloud:
             rng = substream(15, "cloud-scalar", model.dim_state)
             cloud = ParticleCloud(k=0, locations=rng.standard_normal((n, model.dim_state)),
                                   values=np.abs(rng.standard_normal(n)), stage="posterior")
-            for variant, fn in (("right_point_fixed_point", predict_value_right_point),
-                                ("left_point", predict_value_left_point)):
+            for variant in ("right_point_fixed_point", "left_point"):
                 cfg = PredictConfig(mc_samples=16, variant=variant)
                 out = predict_cloud(cloud, f, model, grid, 1, cfg, seed=33)
                 for row in range(n):
                     fwd_noise = substream(33, "predict-forward", 1, row).standard_normal(d_w)
                     forward = euler_step(model, grid.time(0), cloud.locations[row], dt,
                                          math.sqrt(dt) * fwd_noise)
-                    scalar = fn(f, model, grid.time(1), forward, dt, cfg,
-                                substream(33, "predict-backward", 1, row))
+                    scalar = predict_value(f, model, grid.time(1), forward, dt, cfg,
+                                           substream(33, "predict-backward", 1, row))
                     assert np.array_equal(out.locations[row], forward)
                     assert out.values[row] == max(scalar, 0.0)
 
