@@ -38,12 +38,15 @@ Array = np.ndarray
 
 AXES = ("L", "M", "N", "dt")
 
-# Encodes the required limit ordering: the inner sample count must be safely
-# large before a kernel-count sweep means anything.
-MC_FLOOR_FOR_KERNEL_SWEEP = 256
-
 # Fewest replications behind a slope claim.
 REPLICATION_FLOOR = 50
+
+
+def check_sweep_grid(values) -> None:
+    """Refuse a sweep grid that cannot carry a slope claim."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 4 or not np.all(np.diff(values) > 0):
+        raise ConfigurationError("sweep grid must be strictly increasing with >= 4 points")
 
 
 class LoglogFit(NamedTuple):
@@ -103,8 +106,7 @@ class ConvergenceReport:
         self.raw = np.asarray(self.raw, dtype=float)
         if self.axis not in AXES:
             raise ConfigurationError(f"axis must be one of {AXES}")
-        if self.values.size < 4 or not np.all(np.diff(self.values) > 0):
-            raise ConfigurationError("sweep grid must be strictly increasing with >= 4 points")
+        check_sweep_grid(self.values)
         if self.replications < REPLICATION_FLOOR:
             raise ConfigurationError(
                 f"slope claims need at least {REPLICATION_FLOOR} replications")
@@ -453,9 +455,8 @@ def load_config(path) -> ExperimentConfig:
 def run_rate_study(axis: str, cfg: ExperimentConfig) -> ConvergenceReport:
     """Sweep ``axis`` over ``cfg.sweep.values``, or the study's own grid if empty.
 
-    Fewer than ``REPLICATION_FLOOR`` replications are refused, and so is a
-    kernel-count sweep below the documented inner-sample floor: it only
-    measures the kernel rate when the inner sample count is already large.
+    Fewer than ``REPLICATION_FLOOR`` replications are refused before any
+    work, and so is a given grid that ``check_sweep_grid`` refuses.
     """
     if axis not in AXES:
         raise ConfigurationError(f"axis must be one of {AXES}")
@@ -464,14 +465,12 @@ def run_rate_study(axis: str, cfg: ExperimentConfig) -> ConvergenceReport:
             f"a rate study needs replications >= {REPLICATION_FLOOR} for a slope "
             f"claim (got {cfg.replications}); pass --replications {REPLICATION_FLOOR} "
             f"or more")
+    if cfg.sweep.values:
+        check_sweep_grid(cfg.sweep.values)
     model = get_model(cfg.model)
     sweep = (cfg.sweep.values,) if cfg.sweep.values else ()
     common = {"seed": cfg.seed, "threads": cfg.threads, "replications": cfg.replications}
     if axis == "L":
-        if cfg.filter.mc_samples < MC_FLOOR_FOR_KERNEL_SWEEP:
-            raise ConfigurationError(
-                f"kernel-count sweep needs mc_samples >= {MC_FLOOR_FOR_KERNEL_SWEEP} "
-                f"(got {cfg.filter.mc_samples}); the inner sample limit comes first")
         dim = model.dim_state
         if dim > 2:
             raise ConfigurationError("kernel-rate study supports dim <= 2")

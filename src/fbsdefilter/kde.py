@@ -20,6 +20,11 @@ Array = np.ndarray
 
 SQRT_PI = math.sqrt(math.pi)
 
+# Rows of query points per block in ``KernelDensity.eval``: each block's
+# (rows, L) temporaries stay in cache, and memory no longer grows with the
+# number of points.
+EVAL_BLOCK_ROWS = 2048
+
 
 def _as_points(x, dim: int) -> tuple[Array, bool]:
     """Normalize query input to (n, dim); returns (points, was_single_point).
@@ -43,13 +48,18 @@ def _as_points(x, dim: int) -> tuple[Array, bool]:
     raise ConfigurationError(f"cannot interpret points of shape {x.shape} in dimension {dim}")
 
 
+def _sq_dists(points: Array, centers: Array) -> Array:
+    """Squared distances ``(..., L)`` of ``(..., d)`` points to ``(L, d)`` centers."""
+    diff = points[..., None, :] - centers
+    return (diff * diff).sum(axis=-1)
+
+
 def _bumps(points: Array, centers: Array, bandwidths) -> tuple[Array, Array]:
     """Squared distances and bumps of ``(..., d)`` points against ``(L, d)`` centers.
 
     Both have shape ``(..., L)``; this is the one place the bump is computed.
     """
-    diff = points[..., None, :] - centers
-    sq = (diff * diff).sum(axis=-1)
+    sq = _sq_dists(points, centers)
     return sq, np.exp(-sq / bandwidths ** 2)
 
 
@@ -92,10 +102,17 @@ class KernelDensity:
         return int(self.centers.shape[1])
 
     def eval(self, x):
-        """Mixture value at x; scalar in, scalar out, batch in, batch out."""
+        """Mixture value at x; scalar in, scalar out, batch in, batch out.
+
+        Points are evaluated ``EVAL_BLOCK_ROWS`` at a time; each value is a
+        sum over its own row, so blocking leaves every value unchanged.
+        """
         pts, single = _as_points(x, self.dim)
-        _sq, bumps = _bumps(pts, self.centers, self.bandwidths)
-        vals = (bumps * self.weights).sum(axis=-1)
+        vals = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], EVAL_BLOCK_ROWS):
+            rows = slice(start, start + EVAL_BLOCK_ROWS)
+            _sq, bumps = _bumps(pts[rows], self.centers, self.bandwidths)
+            vals[rows] = (bumps * self.weights).sum(axis=-1)
         return float(vals[0]) if single else vals
 
     def component_integrals(self) -> Array:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .errors import ConfigurationError, DivergentLearningError
-from .kde import SQRT_PI, KernelDensity, _bumps
+from .kde import SQRT_PI, KernelDensity, _bumps, _sq_dists
 from .predict import ParticleCloud
 
 Array = np.ndarray
@@ -113,18 +113,39 @@ def select_centers(cloud: ParticleCloud, n_kernels: int, rule: str,
     return cloud.locations[order][rows]
 
 
-def _pair_gradients(x: Array, y: float, centers: Array, weights: Array,
-                    bandwidths: Array) -> tuple[float, Array, Array, Array, Array]:
-    """Residual at one training pair, its two gradients, squared distances and bumps.
+def _pair_gradients(neg_sq: Array, two_sq: Array, y: float, params: tuple,
+                    grads: tuple, bumps: Array, scratch: Array) -> float:
+    """Residual at one training pair; gradients go to ``grads``, bumps to ``bumps``.
 
-    The weight gradient is ``2 r bump``; the bandwidth gradient multiplies it
-    by the weight and ``2 |x - center|^2 / bandwidth^3``.
+    ``params`` is ``(weights, bandwidths)`` and ``grads`` receives the weight
+    gradient ``2 r bump`` and the bandwidth gradient, which multiplies it by
+    the weight and ``2 |x - center|^2 / bandwidth^3``.  ``neg_sq`` and
+    ``two_sq`` are minus and twice the squared distances of the pair to the
+    centers.  All arrays are ``(L,)``; ``scratch`` is a work buffer.
     """
-    sq, bumps = _bumps(x, centers, bandwidths)
-    resid = float((weights * bumps).sum() - y)
-    grad_w = 2.0 * resid * bumps
-    grad_b = grad_w * weights * (2.0 * sq / bandwidths ** 3)
-    return resid, grad_w, grad_b, sq, bumps
+    weights, bandwidths = params
+    grad_w, grad_b = grads
+    # np.square and np.power(., 3) are what ``b ** 2`` and ``b ** 3`` call, so
+    # the bumps equal ``_bumps``'s and the results match the unbuffered formulas
+    np.divide(neg_sq, np.square(bandwidths, scratch), bumps)
+    np.exp(bumps, bumps)
+    resid = float(np.add.reduce(np.multiply(weights, bumps, scratch))) - y
+    np.multiply(bumps, 2.0 * resid, grad_w)
+    np.multiply(grad_w, weights, grad_b)
+    np.divide(two_sq, np.power(bandwidths, 3, scratch), scratch)
+    np.multiply(grad_b, scratch, grad_b)
+    return resid
+
+
+def _single_pair(kd: KernelDensity, x, y) -> tuple[float, Array, Array, Array, Array]:
+    """Residual, both gradients, squared distances and bumps at one pair."""
+    sq = _sq_dists(np.asarray(x, dtype=float).ravel(), kd.centers)
+    grads = (np.empty(kd.n_components), np.empty(kd.n_components))
+    bumps = np.empty(kd.n_components)
+    resid = _pair_gradients(-sq, 2.0 * sq, float(np.squeeze(y)),
+                            (kd.weights, kd.bandwidths), grads, bumps,
+                            np.empty(kd.n_components))
+    return resid, *grads, sq, bumps
 
 
 def loss_and_gradients(kd: KernelDensity, x, y: float) -> tuple[float, Array, Array]:
@@ -133,9 +154,7 @@ def loss_and_gradients(kd: KernelDensity, x, y: float) -> tuple[float, Array, Ar
     Returns ``(loss, d loss / d weights, d loss / d bandwidths)`` with the
     bandwidth gradient carrying the factor ``2 |x - center|^2 / bandwidth^3``.
     """
-    resid, grad_w, grad_b, _, _ = _pair_gradients(
-        np.asarray(x, dtype=float).ravel(), float(np.squeeze(y)),
-        kd.centers, kd.weights, kd.bandwidths)
+    resid, grad_w, grad_b, _, _ = _single_pair(kd, x, y)
     return resid * resid, grad_w, grad_b
 
 
@@ -176,7 +195,8 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
     roughly interpolate the values at the centers.  Each step picks one
     training pair, evaluates the residual and both gradients at the current
     parameters, then updates weights and bandwidths simultaneously and clamps
-    bandwidths at the floor.
+    bandwidths at the floor.  The loop works in preallocated buffers, on
+    distances to the centers computed for all picked pairs before it starts.
     """
     order = np.argsort(training.ids)
     locations = training.locations[order]
@@ -201,24 +221,32 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
 
     # one call draws the same pair indices as one scalar draw per step
     picks[1:] = rng.integers(n, size=steps)
-    rates_w, rates_b = cfg.rate_at(np.arange(1, steps + 1))
-    for s, idx, rate_w, rate_b in zip(range(1, steps + 1), picks[1:].tolist(),
-                                      rates_w.tolist(), rates_b.tolist()):
-        resid, grad_w, grad_b, _, _ = _pair_gradients(
-            locations[idx], targets[idx], centers, weights, bandwidths)
+    # centers do not move, so every picked pair's distances are known up front
+    sq = _sq_dists(locations[picks[1:]], centers)
+    neg_sq, two_sq = -sq, 2.0 * sq
+    rates = np.stack(cfg.rate_at(np.arange(1, steps + 1)), axis=1)[:, :, None]
+    # weights over bandwidths; descent updates them in place
+    params = np.stack([weights, bandwidths])
+    grads, update = np.empty_like(params), np.empty_like(params)
+    param_rows, grad_rows = tuple(params), tuple(grads)
+    bandwidths = param_rows[1]
+    bumps, scratch = np.empty(n_kernels), np.empty(n_kernels)
+    low, finite = np.empty(n_kernels, dtype=bool), np.empty(params.shape, dtype=bool)
+    for s, y, neg, two, rate in zip(range(1, steps + 1), targets[picks[1:]].tolist(),
+                                    neg_sq, two_sq, rates):
+        resid = _pair_gradients(neg, two, y, param_rows, grad_rows, bumps, scratch)
         trace[s] = resid * resid
-        weights = weights - rate_w * grad_w
-        bandwidths = bandwidths - rate_b * grad_b
-        low = bandwidths < floor
-        if low.any():
-            clamps += int(low.sum())
-            bandwidths = np.where(low, floor, bandwidths)
-        if not (np.isfinite(weights).all() and np.isfinite(bandwidths).all()):
+        np.subtract(params, np.multiply(rate, grads, update), params)
+        n_low = np.count_nonzero(np.less(bandwidths, floor, low))
+        if n_low:
+            clamps += n_low
+            np.maximum(bandwidths, floor, out=bandwidths)
+        if np.count_nonzero(np.isfinite(params, finite)) != params.size:
             raise DivergentLearningError(
                 f"non-finite kernel parameters at descent step {s}; "
                 "lower the learning rates")
 
-    kd = KernelDensity(centers, weights, bandwidths)
+    kd = KernelDensity(centers, params[0].copy(), params[1].copy())
     report = LossReport(
         trace=trace,
         sample_indices=picks,
@@ -237,9 +265,7 @@ def hessian(kd: KernelDensity, x, y: float, asymptotic: bool = False) -> Array:
     regime where the mixture already interpolates the data), leaving exactly
     twice the outer product of the first-derivative factor vector.
     """
-    resid, _, _, sq, bumps = _pair_gradients(
-        np.asarray(x, dtype=float).ravel(), float(np.squeeze(y)),
-        kd.centers, kd.weights, kd.bandwidths)
+    resid, _, _, sq, bumps = _single_pair(kd, x, y)
     dist_factor = 2.0 * sq / kd.bandwidths ** 3
     bw_sens = kd.weights * bumps * dist_factor
 

@@ -102,13 +102,6 @@ class TestConvergenceReport:
 
 
 class TestRunRateStudy:
-    def test_kernel_sweep_requires_large_inner_sample_count(self):
-        cfg = ExperimentConfig(model="linear1d", replications=60,
-                               filter=FilterSettings(mc_samples=16),
-                               sweep=SweepSettings(values=(250, 500, 1000, 2000)))
-        with pytest.raises(ConfigurationError, match="mc_samples"):
-            run_rate_study("L", cfg)
-
     def test_axis_dispatch_smoke(self):
         cfg = ExperimentConfig(
             model="ou1d", seed=3, replications=50,
@@ -368,6 +361,29 @@ class TestCli:
         assert cli_main(["rates", "--axis", "N", "--model", "ou1d",
                          "--replications", "10", "--out", str(out)]) == 2
         assert "replications >= 50" in capsys.readouterr().err
+        assert not (out / "rates_N.json").exists()
+
+    def test_rates_kernel_axis_runs_at_default_inner_sample_count(self, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text('{"sweep": {"values": [50, 100, 200, 400]}}')
+        out = tmp_path / "rates"
+        assert cli_main(["rates", "--axis", "L", "--config", str(cfg),
+                         "--replications", "50", "--out", str(out)]) == 0
+        payload = json.loads((out / "rates_L.json").read_text())
+        assert payload["values"] == [50, 100, 200, 400]
+
+    def test_rates_refuses_short_grid_before_any_study(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def study(*args, **kwargs):
+            raise AssertionError("study ran before the grid was checked")
+        monkeypatch.setattr("fbsdefilter.harness.denominator_rate_study", study)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text('{"sweep": {"values": [100000, 200000, 400000]}}')
+        out = tmp_path / "rates"
+        assert cli_main(["rates", "--axis", "N", "--config", str(cfg),
+                         "--replications", "50", "--out", str(out)]) == 2
+        assert "sweep grid must be strictly increasing with >= 4 points" \
+            in capsys.readouterr().err
         assert not (out / "rates_N.json").exists()
 
     def test_rates_sweep_values_apply_to_the_axis_run(self, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fbsdefilter.errors import ConfigurationError, EmptyDensityError
 from fbsdefilter.kde import (
+    EVAL_BLOCK_ROWS,
     KernelDensity,
     gaussian_bandwidth,
     load_density,
@@ -73,6 +74,22 @@ class TestEval:
         first = KernelDensity(centers, [a, a], bws).eval(xs)
         second = KernelDensity(centers, [b, -b], bws).eval(xs)
         np.testing.assert_allclose(combined, first + second, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_blocked_eval_equals_one_shot_formula(self, dim):
+        rng = substream(31, "eval-blocks", dim)
+        kd = KernelDensity(rng.standard_normal((32, dim)), rng.uniform(-1.0, 1.0, 32),
+                           rng.uniform(0.3, 2.0, 32))
+        x = 2.0 * rng.standard_normal((2 * EVAL_BLOCK_ROWS + 3, dim))
+        # every point against every center at once, one (n, L) bump array
+        diff = x[:, None, :] - kd.centers
+        sq = (diff * diff).sum(axis=-1)
+        one_shot = (np.exp(-sq / kd.bandwidths ** 2) * kd.weights).sum(axis=-1)
+        vals = kd.eval(x if dim > 1 else x[:, 0])
+        assert vals.shape == (x.shape[0],)
+        assert vals.tobytes() == one_shot.tobytes()
+        single = kd.eval(x[-1] if dim > 1 else float(x[-1, 0]))
+        assert type(single) is float and single == one_shot[-1]
 
 
 class TestMass:

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from fbsdefilter.errors import ConfigurationError, DivergentLearningError
-from fbsdefilter.kde import SQRT_PI, KernelDensity
+from fbsdefilter.kde import SQRT_PI, KernelDensity, _bumps
 from fbsdefilter.learn import (
+    BANDWIDTH_FLOOR_FRAC,
     CENTER_RULES,
+    LossReport,
     TrainConfig,
+    _initial_bandwidth,
+    _select_center_rows,
+    full_gradient_norm,
+    full_loss,
     hessian,
     loss_and_gradients,
     select_centers,
@@ -57,6 +63,51 @@ def max_relative_gradient_error(kd, x, y, step=1e-6, rtol=1e-5):
     noise = 16.0 * np.finfo(float).eps * max(1.0, loss) / step
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), noise / rtol)
     return float((np.abs(analytic - numeric) / scale).max())
+
+
+def reference_sgd_fit(training, n_kernels, cfg, rng):
+    """The descent loop as one fresh array per operation; the bit-level reference."""
+    order = np.argsort(training.ids)
+    locations = training.locations[order]
+    targets = training.values[order]
+    n = targets.size
+    rows = _select_center_rows(targets, n_kernels, cfg.center_rule, rng)
+    centers = locations[rows].copy()
+    width0 = cfg.init_bandwidth if cfg.init_bandwidth is not None \
+        else _initial_bandwidth(centers, locations)
+    weights = targets[rows] / (n_kernels * (width0 * SQRT_PI) ** centers.shape[1])
+    bandwidths = np.full(n_kernels, float(width0))
+    floor = BANDWIDTH_FLOOR_FRAC * width0
+    steps = cfg.sgd_steps
+    trace = np.empty(steps + 1)
+    picks = np.full(steps + 1, -1, dtype=np.int64)
+    trace[0] = full_loss(KernelDensity(centers, weights.copy(), bandwidths.copy()),
+                         locations, targets)
+    clamps = 0
+    picks[1:] = rng.integers(n, size=steps)
+    rates_w, rates_b = cfg.rate_at(np.arange(1, steps + 1))
+    for s, idx, rate_w, rate_b in zip(range(1, steps + 1), picks[1:].tolist(),
+                                      rates_w.tolist(), rates_b.tolist()):
+        sq, bumps = _bumps(locations[idx], centers, bandwidths)
+        resid = float((weights * bumps).sum() - targets[idx])
+        grad_w = 2.0 * resid * bumps
+        grad_b = grad_w * weights * (2.0 * sq / bandwidths ** 3)
+        trace[s] = resid * resid
+        weights = weights - rate_w * grad_w
+        bandwidths = bandwidths - rate_b * grad_b
+        low = bandwidths < floor
+        if low.any():
+            clamps += int(low.sum())
+            bandwidths = np.where(low, floor, bandwidths)
+        if not (np.isfinite(weights).all() and np.isfinite(bandwidths).all()):
+            raise DivergentLearningError(
+                f"non-finite kernel parameters at descent step {s}; "
+                "lower the learning rates")
+    kd = KernelDensity(centers, weights, bandwidths)
+    return kd, LossReport(trace=trace, sample_indices=picks,
+                          final_loss=full_loss(kd, locations, targets),
+                          final_grad_norm=full_gradient_norm(kd, locations, targets),
+                          bandwidth_clamps=clamps)
 
 
 class TestSelectCenters:
@@ -199,6 +250,38 @@ class TestSgdFit:
         scalar = [int(replay.integers(n)) for _ in range(steps)]
         assert report.sample_indices[1:].tolist() == scalar
 
+    @pytest.mark.parametrize("dim, rule, rate_b, expect_clamps", [
+        (1, "uniform_subsample", 0.02, False),
+        (1, "weighted_subsample", 0.02, False),
+        (2, "uniform_subsample", 0.02, False),
+        (2, "weighted_subsample", 0.02, False),
+        (1, "uniform_subsample", 20.0, True),
+    ])
+    def test_buffered_loop_equals_reference_loop(self, dim, rule, rate_b, expect_clamps):
+        rng = substream(23, "fit-ref", dim)
+        n = 200
+        locations = rng.standard_normal((n, dim))
+        values = np.exp(-(locations * locations).sum(axis=1)) + 0.05
+        cloud = ParticleCloud(k=1, locations=locations, values=values,
+                              stage="posterior", ids=rng.permutation(n))
+        cfg = TrainConfig(sgd_steps=1500, rate_bandwidths=rate_b, center_rule=rule)
+        kd, report = sgd_fit(cloud, 12, cfg, substream(24, "fit-ref-run", dim))
+        ref_kd, ref = reference_sgd_fit(cloud, 12, cfg, substream(24, "fit-ref-run", dim))
+        for name in ("centers", "weights", "bandwidths"):
+            assert getattr(kd, name).tobytes() == getattr(ref_kd, name).tobytes(), name
+        assert report.trace.tobytes() == ref.trace.tobytes()
+        assert np.array_equal(report.sample_indices, ref.sample_indices)
+        assert report.final_loss == ref.final_loss
+        assert report.final_grad_norm == ref.final_grad_norm
+        assert report.bandwidth_clamps == ref.bandwidth_clamps
+        assert (report.bandwidth_clamps > 0) == expect_clamps
+        # the fit hands out arrays of its own, not views of the loop's buffers
+        for arr in (kd.weights, kd.bandwidths):
+            base = arr
+            while base.base is not None:
+                base = base.base
+            assert base.nbytes == arr.nbytes
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_rate_raises_with_step_index(self):
         rng = substream(16, "fit-diverge")
@@ -206,8 +289,11 @@ class TestSgdFit:
         cloud = self._cloud_from(locations, np.abs(rng.standard_normal(50)) + 0.5)
         cfg = TrainConfig(sgd_steps=3000, rate_weights=500.0, rate_bandwidths=500.0,
                           decay_steps=1e9)
-        with pytest.raises(DivergentLearningError, match="step"):
+        with pytest.raises(DivergentLearningError, match="step") as ours:
             sgd_fit(cloud, 10, cfg, substream(17, "fit-diverge-run"))
+        with pytest.raises(DivergentLearningError) as ref:
+            reference_sgd_fit(cloud, 10, cfg, substream(17, "fit-diverge-run"))
+        assert str(ours.value) == str(ref.value)
 
     def test_loss_report_csv(self, tmp_path):
         cloud = self._cloud_from([[0.0], [1.0]], [0.5, 0.7])
