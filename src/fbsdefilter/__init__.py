@@ -37,15 +37,8 @@ from .harness import (
     run_experiment,
     run_rate_study,
 )
-from .kde import (
-    KernelDensity,
-    gaussian_bandwidth,
-    load_density,
-    parzen_estimate,
-    phi,
-    save_density,
-)
-from .learn import LossReport, TrainConfig, hessian, loss_and_gradients, select_centers, sgd_fit
+from .kde import KernelDensity, gaussian_bandwidth, parzen_estimate, save_density
+from .learn import LossReport, TrainConfig, hessian, loss_and_gradients, sgd_fit
 from .model import (
     StateSpaceModel,
     TimeGrid,
@@ -59,7 +52,6 @@ from .model import (
 from .predict import (
     ParticleCloud,
     PredictConfig,
-    mc_conditional_expectation,
     predict_cloud,
     predict_value,
 )

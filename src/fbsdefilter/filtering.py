@@ -21,7 +21,7 @@ from .bayes import DENSITY_FLOOR, Likelihood, bayes_update, denominator_mc, \
 from .errors import ConfigurationError, FilterError
 from .kde import KernelDensity, save_density
 from .learn import TrainConfig, sgd_fit
-from .model import StateSpaceModel, TimeGrid, euler_step
+from .model import StateSpaceModel, TimeGrid, check_drift_divergence, euler_step
 from .predict import ParticleCloud, PredictConfig, predict_cloud
 from .rngs import substream
 
@@ -103,7 +103,12 @@ def check_contraction(model: StateSpaceModel, cfg: FilterConfig) -> None:
 
 
 def initialize(model: StateSpaceModel, cfg: FilterConfig) -> FilterState:
-    """Draw the starting cloud from the initial law; density is exact there."""
+    """Draw the starting cloud from the initial law; density is exact there.
+
+    The model's drift divergence is cross-checked and the prediction
+    stage's contraction guarded before any draw.
+    """
+    check_drift_divergence(model)
     check_contraction(model, cfg)
     locations = model.initial_sampler(cfg.n_particles, substream(cfg.seed, "init"))
     locations = np.asarray(locations, dtype=float)

@@ -73,11 +73,7 @@ def fit_loglog_slope(xs, ys) -> LoglogFit:
     slope = float((lx_c * ly).sum() / sxx)
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)
-    dof = xs.size - 2
-    if dof > 0:
-        se = math.sqrt(float((resid * resid).sum()) / dof / sxx)
-    else:
-        se = 0.0
+    se = math.sqrt(float((resid * resid).sum()) / (xs.size - 2) / sxx)
     return LoglogFit(slope=slope, intercept=intercept, half_width=2.0 * se)
 
 
@@ -627,7 +623,7 @@ def _run_single_replication(model: StateSpaceModel, cfg: ExperimentConfig,
         rows.append(row)
     write_csv(rep_dir / "summary.csv", header, rows)
 
-    result = {"rep": rep, "post_mean": post_mean, "pf_mean": pf.means}
+    result = {"post_mean": post_mean, "pf_mean": pf.means}
     if oracle_mean is not None:
         result["oracle_mean"] = oracle_mean
         result["oracle_std"] = oracle_std
@@ -649,7 +645,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
     jobs = [lambda rep=rep: _run_single_replication(model, cfg, rep, out)
             for rep in range(cfg.replications)]
     results = _run_jobs(jobs, cfg.threads)
-    results.sort(key=lambda r: r["rep"])
 
     error_path = None
     if "oracle_mean" in results[0]:

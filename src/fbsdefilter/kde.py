@@ -1,10 +1,9 @@
 """Gaussian kernel mixtures and the classical fixed-bandwidth estimator.
 
 The learned density is a weighted sum of unnormalized Gaussian bumps
-``phi(x | center, bw) = exp(-|x - center|^2 / bw^2)``; the weights absorb all
-normalization.  Weights may go transiently negative during gradient descent,
-so evaluation is unconstrained and consumers clamp where they need
-nonnegativity.
+``exp(-|x - center|^2 / bw^2)``; the weights absorb all normalization.
+Weights may go transiently negative during gradient descent, so evaluation
+is unconstrained and consumers clamp where they need nonnegativity.
 """
 
 from __future__ import annotations
@@ -61,13 +60,6 @@ def _bumps(points: Array, centers: Array, bandwidths) -> tuple[Array, Array]:
     """
     sq = _sq_dists(points, centers)
     return sq, np.exp(-sq / bandwidths ** 2)
-
-
-def phi(x, center, bandwidth: float):
-    """Unnormalized Gaussian bump exp(-|x - center|^2 / bandwidth^2) around one center."""
-    center = np.asarray(center, dtype=float).reshape(1, -1)
-    _sq, bump = _bumps(np.atleast_1d(np.asarray(x, dtype=float)), center, float(bandwidth))
-    return bump[..., 0]
 
 
 @dataclass
@@ -131,17 +123,6 @@ class KernelDensity:
             return 0.0
         return float(np.abs(contrib[contrib < 0]).sum() / total)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw from the mixture, ignoring negative-weight components.
-
-        Draws the component uniforms, then the standard normals, and places
-        them with ``inverse_sample``.
-        """
-        n = 1 if size is None else int(size)
-        u = rng.random(n)
-        pts = self.inverse_sample(u, rng.standard_normal((n, self.dim)))
-        return pts[0] if size is None else pts
-
     def inverse_sample(self, u: Array, z: Array) -> Array:
         """Mixture draws from ``(n,)`` uniforms and ``(n, dim)`` standard normals.
 
@@ -184,24 +165,6 @@ def save_density(kd: KernelDensity, path) -> None:
         for l in range(kd.n_components):
             row = [*kd.centers[l], kd.weights[l], kd.bandwidths[l]]
             handle.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_density(path) -> KernelDensity:
-    centers, weights, bandwidths = [], [], []
-    with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 3:
-                raise ConfigurationError(f"malformed kernel record: {line!r}")
-            values = [float(p) for p in parts]
-            centers.append(values[:-2])
-            weights.append(values[-2])
-            bandwidths.append(values[-1])
-    if not centers:
-        raise ConfigurationError(f"no kernel components found in {path}")
-    return KernelDensity(np.array(centers), np.array(weights), np.array(bandwidths))
 
 
 # --- classical fixed-bandwidth estimator ------------------------------------

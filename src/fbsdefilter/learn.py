@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_csv
 from .errors import ConfigurationError, DivergentLearningError
 from .kde import SQRT_PI, KernelDensity, _bumps, _sq_dists
 from .predict import ParticleCloud
@@ -27,21 +26,18 @@ BANDWIDTH_FLOOR_FRAC = 1e-3
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Step count, learning-rate schedule, and initialization knobs.
+    """Step count, learning rates, and center rule of the fit.
 
-    Rates decay as ``rate / (1 + s / decay_steps)``; ``decay_steps=None``
-    uses half the step count.  ``init_bandwidth=None`` starts every bandwidth
-    at the median pairwise distance between the selected centers.
-    Bandwidths are clamped at ``BANDWIDTH_FLOOR_FRAC`` times the initial
-    bandwidth.
+    Rates decay as ``rate / (1 + s / s0)`` with ``s0`` half the step count
+    (at least 1).  Every bandwidth starts at the median pairwise distance
+    between the selected centers and is clamped at ``BANDWIDTH_FLOOR_FRAC``
+    times that start.
     """
 
     sgd_steps: int
     rate_weights: float = 0.05
     rate_bandwidths: float = 0.02
-    decay_steps: float | None = None
     center_rule: str = "uniform_subsample"
-    init_bandwidth: float | None = None
 
     def __post_init__(self):
         if self.sgd_steps < 1:
@@ -50,12 +46,10 @@ class TrainConfig:
             raise ConfigurationError("learning rates must be positive")
         if self.center_rule not in CENTER_RULES:
             raise ConfigurationError(f"center_rule must be one of {CENTER_RULES}")
-        if self.decay_steps is not None and self.decay_steps <= 0:
-            raise ConfigurationError("decay_steps must be positive")
 
     def rate_at(self, step: int | Array) -> tuple:
         """Weight and bandwidth rates at a step, or at an array of steps."""
-        s0 = self.decay_steps if self.decay_steps is not None else max(self.sgd_steps / 2.0, 1.0)
+        s0 = max(self.sgd_steps / 2.0, 1.0)
         damp = 1.0 / (1.0 + step / s0)
         return self.rate_weights * damp, self.rate_bandwidths * damp
 
@@ -75,42 +69,25 @@ class LossReport:
     final_grad_norm: float
     bandwidth_clamps: int = 0
 
-    def to_csv(self, path) -> None:
-        write_csv(path, ["step", "sample_index", "loss"],
-                  ([step, int(idx), loss]
-                   for step, (idx, loss) in enumerate(zip(self.sample_indices, self.trace))))
-
 
 def _select_center_rows(values: Array, n_kernels: int, rule: str,
                         rng: np.random.Generator) -> Array:
+    """Sorted distinct center rows, for a ``rule`` that ``TrainConfig`` has checked.
+
+    ``weighted_subsample`` picks rows with probability proportional to ``values``.
+    """
     n = values.size
     if not 1 <= n_kernels <= n:
         raise ConfigurationError(f"need 1 <= n_kernels <= {n}, got {n_kernels}")
     if rule == "uniform_subsample":
         rows = rng.choice(n, size=n_kernels, replace=False)
-    elif rule == "weighted_subsample":
+    else:
         total = values.sum()
         if total <= 0:
             raise ConfigurationError(
                 "weighted center selection needs a positive total value")
         rows = rng.choice(n, size=n_kernels, replace=False, p=values / total)
-    else:
-        raise ConfigurationError(f"center_rule must be one of {CENTER_RULES}")
     return np.sort(rows)  # stable order by particle index
-
-
-def select_centers(cloud: ParticleCloud, n_kernels: int, rule: str,
-                   rng: np.random.Generator) -> Array:
-    """Pick kernel center locations from a particle cloud.
-
-    ``uniform_subsample`` draws distinct particles uniformly;
-    ``weighted_subsample`` draws without replacement with probability
-    proportional to the attached values.  Ties in ordering resolve by
-    particle id.
-    """
-    order = np.argsort(cloud.ids)
-    rows = _select_center_rows(cloud.values[order], n_kernels, rule, rng)
-    return cloud.locations[order][rows]
 
 
 def _pair_gradients(neg_sq: Array, two_sq: Array, y: float, params: tuple,
@@ -205,8 +182,7 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
 
     rows = _select_center_rows(targets, n_kernels, cfg.center_rule, rng)
     centers = locations[rows].copy()
-    width0 = cfg.init_bandwidth if cfg.init_bandwidth is not None \
-        else _initial_bandwidth(centers, locations)
+    width0 = _initial_bandwidth(centers, locations)
     dim = centers.shape[1]
     weights = targets[rows] / (n_kernels * (width0 * SQRT_PI) ** dim)
     bandwidths = np.full(n_kernels, float(width0))

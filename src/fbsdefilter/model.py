@@ -21,6 +21,11 @@ from .rngs import substream
 
 Array = np.ndarray
 
+# Seed of the probe stream and largest accepted relative mismatch of
+# ``check_drift_divergence``.
+DIVERGENCE_CHECK_SEED = 0
+DIVERGENCE_CHECK_RTOL = 1e-4
+
 
 def matvec(mat: Array, vec: Array) -> Array:
     """Apply a (d_out, d_in) matrix to (..., d_in) vectors.
@@ -102,22 +107,22 @@ class StateSpaceModel:
         return int(np.asarray(self.diffusion(0.0)).shape[1])
 
 
-def check_drift_divergence(model: StateSpaceModel, seed: int = 0,
-                           rtol: float = 1e-4) -> None:
+def check_drift_divergence(model: StateSpaceModel) -> None:
     """Cross-check the model's divergence against finite differences.
 
     Raises ConfigurationError when the relative mismatch at any of 32 probe
-    points drawn from N(0, 4 I) exceeds ``rtol``; catches hand-derived
-    divergence errors in user models before they silently corrupt the
-    prediction step.
+    points drawn from N(0, 4 I) exceeds ``DIVERGENCE_CHECK_RTOL``; catches
+    hand-derived divergence errors in user models before they silently
+    corrupt the prediction step.  The probes come from a stream of their
+    own, so the check moves no other draw.
     """
-    rng = substream(seed, "divergence-check")
+    rng = substream(DIVERGENCE_CHECK_SEED, "divergence-check")
     probes = 2.0 * rng.standard_normal((32, model.dim_state))
     analytic = np.asarray(model.drift_divergence(probes), dtype=float)
     numeric = finite_difference_divergence(model.drift, probes)
     err = np.abs(analytic - numeric) / (1.0 + np.abs(numeric))
     worst = int(np.argmax(err))
-    if err[worst] > rtol:
+    if err[worst] > DIVERGENCE_CHECK_RTOL:
         raise ConfigurationError(
             "drift_divergence disagrees with finite differences at "
             f"x={probes[worst]}: analytic {analytic[worst]:.6g} vs "
@@ -240,14 +245,7 @@ def simulate_truth(model: StateSpaceModel, grid: TimeGrid, seed: int) -> tuple[A
     return states, obs
 
 
-# --- exact Ornstein-Uhlenbeck references -----------------------------------
-
-def ou_exact_moments(theta: float, sigma: float, x0: float, t: float) -> tuple[float, float]:
-    """Mean and variance of dX = -theta X dt + sigma dW at time t from x0."""
-    mean = x0 * math.exp(-theta * t)
-    var = sigma * sigma * (1.0 - math.exp(-2.0 * theta * t)) / (2.0 * theta)
-    return mean, var
-
+# --- exact Ornstein-Uhlenbeck reference ------------------------------------
 
 def ou_exact_coupled_step(theta: float, sigma: float, x: Array, dt: float,
                           dW: Array, extra: Array) -> Array:

@@ -26,10 +26,6 @@ VARIANTS = ("right_point_fixed_point", "left_point")
 # correction is not a contraction at the configured step size.
 DIVERGENCE_FACTOR = 1e6
 
-# Particle ids of the single anchor a scalar entry point evaluates.
-_SCALAR_IDS = np.zeros(1, dtype=np.int64)
-
-
 @dataclass
 class ParticleCloud:
     """Locations with attached density values at one time index.
@@ -116,14 +112,13 @@ def _density_values(f: Callable[[Array], Array], points: Array, ids: Array,
 
 
 def _prior_values(f: Callable[[Array], Array], model: StateSpaceModel, t_k: float,
-                  anchors: Array, dt: float, noise: Array, cfg: PredictConfig | None,
+                  anchors: Array, dt: float, noise: Array, cfg: PredictConfig,
                   ids: Array, where: str = "") -> Array:
     """Prior values at ``(n, dim)`` anchors from an ``(n, m, d_w)`` normal block.
 
-    ``cfg=None`` gives the plain Monte Carlo mean of ``f`` over the reverse
-    samples; otherwise ``cfg.variant`` picks the discretization.  Every
-    reduction runs along the sample axis of one row, so a row's value does
-    not depend on how many anchors share the call.
+    ``cfg.variant`` picks the discretization.  Every reduction runs along the
+    sample axis of one row, so a row's value does not depend on how many
+    anchors share the call.
     """
     if dt < 0:
         raise ConfigurationError("dt must be nonnegative")
@@ -137,8 +132,6 @@ def _prior_values(f: Callable[[Array], Array], model: StateSpaceModel, t_k: floa
             f"{ids[np.unique(err.rows // m)][:8].tolist()}{where}") from err
     flat = points.reshape(n * m, -1)
     vals = _density_values(f, flat, ids, "reverse samples", where).reshape(n, m)
-    if cfg is None:
-        return vals.mean(axis=1)
     if cfg.variant == "left_point":
         div = np.asarray(model.drift_divergence(flat), dtype=float).reshape(n, m)
         return vals.mean(axis=1) - (div * vals).mean(axis=1) * dt
@@ -161,24 +154,6 @@ def _prior_values(f: Callable[[Array], Array], model: StateSpaceModel, t_k: floa
     return y
 
 
-def _scalar_value(f: Callable[[Array], Array], model: StateSpaceModel, t_k: float,
-                  x_k: Array, dt: float, mc_samples: int, cfg: PredictConfig | None,
-                  rng: np.random.Generator) -> float:
-    """``_prior_values`` for the single anchor ``x_k`` (n = 1)."""
-    noise = rng.standard_normal((1, mc_samples, model.dim_noise))
-    anchor = np.asarray(x_k, dtype=float).reshape(1, -1)
-    return float(_prior_values(f, model, t_k, anchor, dt, noise, cfg, _SCALAR_IDS)[0])
-
-
-def mc_conditional_expectation(f: Callable[[Array], Array], model: StateSpaceModel,
-                               t_k: float, x_k: Array, dt: float, mc_samples: int,
-                               rng: np.random.Generator) -> float:
-    """Plain Monte Carlo mean of f over reverse-time samples from x_k."""
-    if mc_samples < 1:
-        raise ConfigurationError("mc_samples must be >= 1")
-    return _scalar_value(f, model, t_k, x_k, dt, mc_samples, None, rng)
-
-
 def predict_value(prev_density: Callable[[Array], Array], model: StateSpaceModel,
                   t_k: float, x_k: Array, dt: float, cfg: PredictConfig,
                   rng: np.random.Generator) -> float:
@@ -188,9 +163,13 @@ def predict_value(prev_density: Callable[[Array], Array], model: StateSpaceModel
     previous density evaluated at x_k itself and damps it with the drift
     divergence at x_k.  ``left_point`` (explicit) takes both expectations over
     the same reverse samples: the mean of the previous density minus dt times
-    the mean of divergence-weighted values.
+    the mean of divergence-weighted values.  This is ``predict_cloud``'s path
+    for the single anchor x_k, with particle id 0.
     """
-    return _scalar_value(prev_density, model, t_k, x_k, dt, cfg.mc_samples, cfg, rng)
+    noise = rng.standard_normal((1, cfg.mc_samples, model.dim_noise))
+    anchor = np.asarray(x_k, dtype=float).reshape(1, -1)
+    return float(_prior_values(prev_density, model, t_k, anchor, dt, noise, cfg,
+                               np.zeros(1, dtype=np.int64))[0])
 
 
 def predict_cloud(prev_cloud: ParticleCloud, prev_density: Callable[[Array], Array],
@@ -199,8 +178,8 @@ def predict_cloud(prev_cloud: ParticleCloud, prev_density: Callable[[Array], Arr
     """Advance a posterior cloud one step and attach prior density values.
 
     Locations move forward by an explicit Euler step; values follow the
-    configured variant through the same path as the scalar entry points, so
-    each particle's value is bit-identical to theirs on the same streams.
+    configured variant through the same path as ``predict_value``, so each
+    particle's value is bit-identical to its value on the same streams.
     Values are clamped at zero only here, at the stage boundary.
     """
     dt = grid.dt(k)

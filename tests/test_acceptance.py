@@ -114,8 +114,7 @@ def test_criterion_6_hessian_structure():
     # non-asymptotic curvature after an actual fit with tiny residuals
     cloud = ParticleCloud(k=1, locations=[[0.25]], values=[0.6], stage="posterior")
     kd_fit, report = sgd_fit(cloud, 1,
-                             TrainConfig(sgd_steps=600, rate_weights=0.4,
-                                         init_bandwidth=1.0),
+                             TrainConfig(sgd_steps=600, rate_weights=0.4),
                              substream(108, "acceptance-hessian-fit"))
     full = hessian(kd_fit, np.array([0.25]), 0.6, asymptotic=False)
     full_ratio = float(np.linalg.eigvalsh(full)[0] / np.linalg.norm(full, 2))

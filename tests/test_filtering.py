@@ -20,14 +20,14 @@ from fbsdefilter.filtering import (
     write_checkpoint,
 )
 from fbsdefilter.harness import _run_jobs
-from fbsdefilter.kde import KernelDensity, load_density
+from fbsdefilter.kde import KernelDensity
 from fbsdefilter.learn import TrainConfig
 from fbsdefilter.model import MODEL_ZOO, LinearGaussian, TimeGrid, get_model, \
     simulate_truth
 from fbsdefilter.predict import ParticleCloud, PredictConfig
 from fbsdefilter.rngs import substream
 
-from conftest import make_model_1d
+from conftest import load_density, make_model_1d
 
 LINEAR_ZOO = [name for name, make in MODEL_ZOO.items() if make().linear is not None]
 
@@ -81,6 +81,19 @@ class TestInitialize:
         with pytest.warns(UserWarning, match="contract"):
             initialize(model, small_config(grid))
 
+    def test_wrong_divergence_rejected_before_any_draw(self):
+        # div(-x) is -1, not 2; the probe point is named in the message
+        model = make_model_1d(drift=lambda x: -np.asarray(x, dtype=float),
+                              divergence=lambda x: np.full(np.asarray(x).shape[:-1], 2.0))
+
+        def sampler(n, rng):
+            raise AssertionError("initial law sampled before the divergence check")
+
+        model.initial_sampler = sampler
+        grid = TimeGrid.uniform(horizon=1.0, steps=4)
+        with pytest.raises(ConfigurationError, match=r"disagrees .* at x=\["):
+            initialize(model, small_config(grid))
+
 
 def per_particle_metropolis(cloud, kd, stream_for):
     """Reference: one mixture draw, one evaluation and one accept test per particle."""
@@ -89,7 +102,8 @@ def per_particle_metropolis(cloud, kd, stream_for):
     accepted = 0
     for row, pid in enumerate(cloud.ids):
         rng = stream_for(int(pid))
-        proposal = kd.sample(rng)
+        proposal = kd.inverse_sample(np.array([rng.random()]),
+                                     rng.standard_normal((1, kd.dim)))[0]
         new_val = kd.eval(proposal[None, :])[0]
         ratio = max(new_val, 0.0) / old_vals[row]
         if rng.random() < min(1.0, ratio):

@@ -9,46 +9,59 @@ from fbsdefilter.errors import ConfigurationError, EmptyDensityError
 from fbsdefilter.kde import (
     EVAL_BLOCK_ROWS,
     KernelDensity,
+    _bumps,
     gaussian_bandwidth,
-    load_density,
     mse_rate_exponent,
     parzen_estimate,
-    phi,
     save_density,
 )
 from fbsdefilter.rngs import substream
 
+from conftest import load_density
+
 SQRT_PI = math.sqrt(math.pi)
+
+
+def bump(x, center, bandwidth):
+    """The Gaussian bump exp(-|x - center|^2 / bandwidth^2) as a unit-weight mixture."""
+    return KernelDensity([np.atleast_1d(center)], [1.0], [bandwidth]).eval(x)
+
+
+def draw(kd, rng, n):
+    """n mixture draws from the component uniforms, then the standard normals."""
+    return kd.inverse_sample(rng.random(n), rng.standard_normal((n, kd.dim)))
 
 
 class TestPhi:
     def test_unit_at_center(self):
-        assert phi(np.array([0.3, -0.2]), np.array([0.3, -0.2]), 0.7) == 1.0
+        assert bump(np.array([0.3, -0.2]), np.array([0.3, -0.2]), 0.7) == 1.0
 
     def test_unit_scaled_distance(self):
-        assert phi(1.0, 0.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert bump(1.0, 0.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_two_dim_hand_norm(self):
         # displacement (3, 4) with width 5: squared distance 25 over 25
-        val = phi(np.array([3.0, 4.0]), np.array([0.0, 0.0]), 5.0)
+        val = bump(np.array([3.0, 4.0]), np.array([0.0, 0.0]), 5.0)
         assert val == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     @settings(max_examples=60, derandomize=True)
     @given(x=st.floats(-20, 20), c=st.floats(-20, 20), bw=st.floats(1.6, 50))
     def test_range_is_half_open_unit_interval(self, x, c, bw):
         # bw floor keeps the exponent above the float64 underflow threshold
-        val = float(phi(x, c, bw))
+        val = float(bump(x, c, bw))
         assert 0.0 < val <= 1.0
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_equals_single_component_mixture_bitwise(self, dim):
+        # the one bump helper and the unit-weight mixture agree to the bit
         rng = substream(30, "phi-vs-eval", dim)
         c = rng.standard_normal(dim)
         b = 0.3 + rng.random()
         x = 2.0 * rng.standard_normal((25, dim))
         kd = KernelDensity([c], [1.0], [b])
-        assert np.array_equal(phi(x, c, b), kd.eval(x if dim > 1 else x[:, 0]))
-        assert phi(x[0], c, b) == kd.eval(x[0] if dim > 1 else x[0, 0])
+        _sq, bumps = _bumps(x, c[None, :], b)
+        assert np.array_equal(bumps[:, 0], kd.eval(x if dim > 1 else x[:, 0]))
+        assert bumps[0, 0] == kd.eval(x[0] if dim > 1 else x[0, 0])
 
 
 class TestEval:
@@ -120,7 +133,7 @@ class TestSample:
     def test_single_component_moments(self):
         center, bw = 1.5, 0.8
         kd = KernelDensity([[center]], [0.3], [bw])
-        draws = kd.sample(substream(2, "kde-sample"), size=100_000)
+        draws = draw(kd, substream(2, "kde-sample"), 100_000)
         var = bw * bw / 2.0
         se_mean = math.sqrt(var / draws.shape[0])
         assert abs(draws[:, 0].mean() - center) < 4.0 * se_mean
@@ -128,23 +141,23 @@ class TestSample:
 
     def test_zero_weight_component_never_drawn(self):
         kd = KernelDensity([[0.0], [50.0]], [0.4, 0.0], [0.5, 0.5])
-        draws = kd.sample(substream(3, "kde-sample-zero"), size=2000)
+        draws = draw(kd, substream(3, "kde-sample-zero"), 2000)
         assert np.all(draws[:, 0] < 25.0)
 
     def test_symmetric_mixture_mean_near_midpoint(self):
         kd = KernelDensity([[-2.0], [2.0]], [0.5, 0.5], [0.6, 0.6])
-        draws = kd.sample(substream(4, "kde-sample-sym"), size=100_000)
+        draws = draw(kd, substream(4, "kde-sample-sym"), 100_000)
         per_draw_var = 2.0 ** 2 + 0.6 ** 2 / 2.0
         se = math.sqrt(per_draw_var / draws.shape[0])
         assert abs(draws[:, 0].mean()) < 4.0 * se
 
     def test_negative_weights_ignored_and_all_nonpositive_rejected(self):
         kd = KernelDensity([[0.0], [40.0]], [0.5, -0.5], [0.5, 0.5])
-        draws = kd.sample(substream(5, "kde-sample-neg"), size=500)
+        draws = draw(kd, substream(5, "kde-sample-neg"), 500)
         assert np.all(draws[:, 0] < 20.0)
         empty = KernelDensity([[0.0]], [-1.0], [1.0])
         with pytest.raises(EmptyDensityError):
-            empty.sample(substream(6, "kde-sample-empty"))
+            draw(empty, substream(6, "kde-sample-empty"), 1)
 
     def test_moments_match_closed_form(self):
         kd = KernelDensity([[-1.0], [2.0]], [0.3, 0.6], [0.8, 1.1])

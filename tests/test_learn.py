@@ -16,7 +16,6 @@ from fbsdefilter.learn import (
     full_loss,
     hessian,
     loss_and_gradients,
-    select_centers,
     sgd_fit,
 )
 from fbsdefilter.predict import ParticleCloud
@@ -73,8 +72,7 @@ def reference_sgd_fit(training, n_kernels, cfg, rng):
     n = targets.size
     rows = _select_center_rows(targets, n_kernels, cfg.center_rule, rng)
     centers = locations[rows].copy()
-    width0 = cfg.init_bandwidth if cfg.init_bandwidth is not None \
-        else _initial_bandwidth(centers, locations)
+    width0 = _initial_bandwidth(centers, locations)
     weights = targets[rows] / (n_kernels * (width0 * SQRT_PI) ** centers.shape[1])
     bandwidths = np.full(n_kernels, float(width0))
     floor = BANDWIDTH_FLOOR_FRAC * width0
@@ -111,42 +109,32 @@ def reference_sgd_fit(training, n_kernels, cfg, rng):
 
 
 class TestSelectCenters:
-    def _cloud(self, values, rng=None):
-        values = np.asarray(values, dtype=float)
-        rng = rng or substream(0, "centers-cloud")
-        return ParticleCloud(k=1, locations=rng.standard_normal((values.size, 1)),
-                             values=values, stage="posterior")
-
     def test_full_selection_returns_all_locations(self):
-        cloud = self._cloud(np.abs(substream(1, "c1").standard_normal(9)))
-        centers = select_centers(cloud, 9, "uniform_subsample", substream(2, "c2"))
-        assert sorted(centers[:, 0]) == sorted(cloud.locations[:, 0])
+        values = np.abs(substream(1, "c1").standard_normal(9))
+        rows = _select_center_rows(values, 9, "uniform_subsample", substream(2, "c2"))
+        assert rows.tolist() == list(range(9))
 
     def test_weighted_all_mass_on_one_particle(self):
         values = np.zeros(6)
         values[4] = 2.5
-        cloud = self._cloud(values)
-        centers = select_centers(cloud, 1, "weighted_subsample", substream(3, "c3"))
-        assert centers[0, 0] == cloud.locations[4, 0]
+        rows = _select_center_rows(values, 1, "weighted_subsample", substream(3, "c3"))
+        assert rows.tolist() == [4]
 
     def test_weighted_frequencies_proportional_to_values(self):
         values = np.array([0.1, 0.2, 0.3, 0.4])
-        cloud = self._cloud(values)
         n_trials = 10_000
         counts = np.zeros(4)
         rng = substream(4, "c4")
         for _ in range(n_trials):
-            chosen = select_centers(cloud, 1, "weighted_subsample", rng)
-            counts[np.flatnonzero(cloud.locations[:, 0] == chosen[0, 0])[0]] += 1
+            counts[_select_center_rows(values, 1, "weighted_subsample", rng)[0]] += 1
         probs = values / values.sum()
         for j in range(4):
             sd = math.sqrt(n_trials * probs[j] * (1 - probs[j]))
             assert abs(counts[j] - n_trials * probs[j]) < 3.0 * sd
 
     def test_too_many_centers_rejected(self):
-        cloud = self._cloud(np.ones(3))
         with pytest.raises(ConfigurationError):
-            select_centers(cloud, 4, "uniform_subsample", substream(5, "c5"))
+            _select_center_rows(np.ones(3), 4, "uniform_subsample", substream(5, "c5"))
 
 
 class TestLossAndGradients:
@@ -178,19 +166,17 @@ class TestSgdFit:
         return ParticleCloud(k=1, locations=locations, values=values, stage="posterior")
 
     def test_exact_fixed_point_keeps_parameters(self):
-        # one pair, width 1/sqrt(pi): the initial mixture already interpolates
-        # (up to one rounding of width * sqrt(pi)), so descent must not move
-        width = 1.0 / SQRT_PI
-        cloud = self._cloud_from([[0.8]], [0.37])
-        cfg = TrainConfig(sgd_steps=200, init_bandwidth=width)
-        kd, report = sgd_fit(cloud, 1, cfg, substream(8, "fit-fixed"))
-        assert kd.weights[0] == pytest.approx(0.37, rel=1e-13)
-        assert kd.bandwidths[0] == width
-        assert report.final_loss < 1e-25
+        # a component centred on the one pair with the pair's value as weight
+        # interpolates it exactly: zero residual and zero gradients, so no
+        # descent step moves it
+        kd = KernelDensity([[0.8]], [0.37], [1.0 / SQRT_PI])
+        loss, grad_w, grad_b = loss_and_gradients(kd, np.array([0.8]), 0.37)
+        assert loss == 0.0
+        assert np.all(grad_w == 0.0) and np.all(grad_b == 0.0)
 
     def test_single_pair_converges_to_value(self):
         cloud = self._cloud_from([[0.3]], [0.85])
-        cfg = TrainConfig(sgd_steps=500, rate_weights=0.4, init_bandwidth=1.0)
+        cfg = TrainConfig(sgd_steps=500, rate_weights=0.4)
         kd, report = sgd_fit(cloud, 1, cfg, substream(9, "fit-single"))
         assert report.final_loss < 1e-10
         assert kd.weights[0] == pytest.approx(0.85, abs=1e-5)
@@ -246,7 +232,7 @@ class TestSgdFit:
         _, report = sgd_fit(cloud, 8, TrainConfig(sgd_steps=steps, center_rule=rule),
                             substream(20, "fit-picks-run"))
         replay = substream(20, "fit-picks-run")
-        select_centers(cloud, 8, rule, replay)
+        _select_center_rows(cloud.values[np.argsort(cloud.ids)], 8, rule, replay)
         scalar = [int(replay.integers(n)) for _ in range(steps)]
         assert report.sample_indices[1:].tolist() == scalar
 
@@ -287,24 +273,12 @@ class TestSgdFit:
         rng = substream(16, "fit-diverge")
         locations = rng.standard_normal((50, 1))
         cloud = self._cloud_from(locations, np.abs(rng.standard_normal(50)) + 0.5)
-        cfg = TrainConfig(sgd_steps=3000, rate_weights=500.0, rate_bandwidths=500.0,
-                          decay_steps=1e9)
+        cfg = TrainConfig(sgd_steps=3000, rate_weights=500.0, rate_bandwidths=500.0)
         with pytest.raises(DivergentLearningError, match="step") as ours:
             sgd_fit(cloud, 10, cfg, substream(17, "fit-diverge-run"))
         with pytest.raises(DivergentLearningError) as ref:
             reference_sgd_fit(cloud, 10, cfg, substream(17, "fit-diverge-run"))
         assert str(ours.value) == str(ref.value)
-
-    def test_loss_report_csv(self, tmp_path):
-        cloud = self._cloud_from([[0.0], [1.0]], [0.5, 0.7])
-        kd, report = sgd_fit(cloud, 2, TrainConfig(sgd_steps=10),
-                             substream(18, "fit-csv"))
-        path = tmp_path / "trace.csv"
-        report.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,sample_index,loss"
-        assert len(lines) == 12
-        assert lines[1].startswith("0,-1,")
 
 
 class TestHessian:
@@ -344,8 +318,7 @@ class TestHessian:
 
     def test_full_hessian_near_fit_is_almost_psd(self):
         cloud = ParticleCloud(k=1, locations=[[0.3]], values=[0.8], stage="posterior")
-        kd, report = sgd_fit(cloud, 1, TrainConfig(sgd_steps=600, rate_weights=0.4,
-                                                   init_bandwidth=1.0),
+        kd, report = sgd_fit(cloud, 1, TrainConfig(sgd_steps=600, rate_weights=0.4),
                              substream(21, "hess-fit"))
         assert report.final_loss < 1e-6
         h = hessian(kd, np.array([0.3]), 0.8, asymptotic=False)

@@ -70,6 +70,49 @@ def test_artifact_formats_live_in_one_module():
     assert offenders == []
 
 
+# Exports that exist for users and for the acceptance criteria rather than for
+# the pipeline: custom model registration, and the single-pair loss gradient
+# and curvature that criteria 5 and 6 check.
+ENTRY_POINTS = {"register_model", "loss_and_gradients", "hessian"}
+
+
+def _referenced_names(nodes) -> set[str]:
+    """Names read, attributes accessed and names imported below ``nodes``."""
+    out = set()
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_export_has_a_caller():
+    # each name the package exports serves the pipeline: code of the package
+    # other than the name's own definition, the CLI or the benchmark uses it
+    package = Path(fbsdefilter.__file__).resolve().parent
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exports = {alias.asname or alias.name: node.module for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")).body
+             for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    bench = _referenced_names(
+        stmt for path in sorted((README.parent / "perfbench").glob("*.py"))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body)
+    unused = []
+    for name, module in sorted(exports.items()):
+        users = set(bench)
+        for stem, body in trees.items():
+            users |= _referenced_names(
+                stmt for stmt in body if stem != module
+                or getattr(stmt, "name", None) != name)
+        if name not in users and name not in ENTRY_POINTS:
+            unused.append(f"{module}.{name}")
+    assert unused == []
+
+
 def test_generators_are_built_only_in_rngs():
     # every stream comes from rngs.substream, so no module builds a Philox or
     # a Generator of its own

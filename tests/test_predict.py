@@ -12,11 +12,10 @@ from fbsdefilter.errors import (
     ModelBlowUpError,
 )
 from fbsdefilter.harness import fit_loglog_slope
-from fbsdefilter.model import TimeGrid, euler_step, get_model
+from fbsdefilter.model import TimeGrid, backward_sample, euler_step, get_model
 from fbsdefilter.predict import (
     ParticleCloud,
     PredictConfig,
-    mc_conditional_expectation,
     predict_cloud,
     predict_value,
 )
@@ -36,20 +35,38 @@ def gauss_density(mean, var):
     return lambda pts: norm * np.exp(-0.5 * (np.asarray(pts, dtype=float)[:, 0] - mean) ** 2 / var)
 
 
+def reverse_mean(f, model, t_k, x_k, dt, mc_samples, rng):
+    """Plain Monte Carlo mean of f over reverse-time samples from x_k.
+
+    Draws the noise block the scalar prediction draws, shaped as it shapes it.
+    """
+    noise = rng.standard_normal((1, mc_samples, model.dim_noise))
+    anchor = np.asarray(x_k, dtype=float).reshape(1, 1, -1)
+    points = backward_sample(model, t_k, anchor, dt, math.sqrt(dt) * noise)
+    return float(f(points.reshape(mc_samples, -1)).reshape(1, mc_samples).mean(axis=1)[0])
+
+
+def left_point(mc_samples):
+    return PredictConfig(mc_samples=mc_samples, variant="left_point")
+
+
 class TestMcConditionalExpectation:
+    # the plain Monte Carlo mean over reverse samples: the left-point value at
+    # zero divergence, or ``reverse_mean``
+
     def test_constant_integrand(self):
-        model = make_model_1d(drift=lambda x: -np.asarray(x, dtype=float))
+        model = make_model_1d(drift=lambda x: 0.0 * np.asarray(x, dtype=float) - 0.4)
         for m in (1, 7, 64):
-            val = mc_conditional_expectation(lambda pts: np.full(len(pts), 3.0),
-                                             model, 0.1, np.array([0.4]), 0.1, m,
-                                             substream(0, "mc", m))
+            val = predict_value(lambda pts: np.full(len(pts), 3.0),
+                                model, 0.1, np.array([0.4]), 0.1, left_point(m),
+                                substream(0, "mc", m))
             assert val == 3.0
 
     def test_degenerate_dynamics_evaluate_at_point(self):
         model = make_model_1d(drift=lambda x: 0.0 * np.asarray(x, dtype=float), sigma=0.0)
         f = gauss_density(0.0, 1.0)
-        val = mc_conditional_expectation(f, model, 0.1, np.array([0.7]), 0.1, 16,
-                                         substream(1, "mc-degenerate"))
+        val = predict_value(f, model, 0.1, np.array([0.7]), 0.1, left_point(16),
+                            substream(1, "mc-degenerate"))
         assert val == pytest.approx(float(f(np.array([[0.7]]))[0]), rel=1e-15)
 
     def test_variance_scales_inversely_with_samples(self):
@@ -58,8 +75,8 @@ class TestMcConditionalExpectation:
         counts = [16, 64, 256, 1024]
         variances = []
         for j, m in enumerate(counts):
-            vals = [mc_conditional_expectation(f, model, 0.1, np.array([0.8]), 0.1,
-                                               m, substream(2, "mc-var", j, rep))
+            vals = [reverse_mean(f, model, 0.1, np.array([0.8]), 0.1,
+                                 m, substream(2, "mc-var", j, rep))
                     for rep in range(200)]
             variances.append(np.var(vals, ddof=1))
         fit = fit_loglog_slope(counts, variances)
@@ -74,8 +91,8 @@ class TestMcConditionalExpectation:
             return out
 
         with pytest.raises(FilterError, match="reverse sample"):
-            mc_conditional_expectation(bad, model, 0.1, np.array([0.0]), 0.1, 8,
-                                       substream(3, "mc-bad"))
+            predict_value(bad, model, 0.1, np.array([0.0]), 0.1, left_point(8),
+                          substream(3, "mc-bad"))
 
 
 class TestRightPoint:
@@ -83,8 +100,7 @@ class TestRightPoint:
         model = make_model_1d(drift=lambda x: 0.0 * np.asarray(x, dtype=float) + 0.3)
         f = gauss_density(0.2, 0.8)
         x, dt = np.array([0.5]), 0.1
-        want = mc_conditional_expectation(f, model, 0.1, x, dt, 32,
-                                          substream(4, "rp-zero-div"))
+        want = reverse_mean(f, model, 0.1, x, dt, 32, substream(4, "rp-zero-div"))
         decoupled = predict_value(
             f, model, 0.1, x, dt, PredictConfig(mc_samples=32, decouple_mc=True),
             substream(4, "rp-zero-div"))
@@ -131,8 +147,8 @@ class TestRightPoint:
         f = gauss_density(0.0, 1.0)
         got = predict_value(f, model, 0.1, np.array([0.3]), 0.0,
                             PredictConfig(mc_samples=16), substream(7, "rp-dt0"))
-        want = mc_conditional_expectation(f, model, 0.1, np.array([0.3]), 0.0, 16,
-                                          substream(7, "rp-dt0"))
+        want = reverse_mean(f, model, 0.1, np.array([0.3]), 0.0, 16,
+                            substream(7, "rp-dt0"))
         assert got == want
 
     def test_divergent_iteration_raises(self):
@@ -152,8 +168,8 @@ class TestLeftPoint:
         cfg = PredictConfig(mc_samples=48, variant="left_point")
         got = predict_value(f, model, 0.1, np.array([0.1]), 0.2, cfg,
                             substream(9, "lp-zero-div"))
-        want = mc_conditional_expectation(f, model, 0.1, np.array([0.1]), 0.2, 48,
-                                          substream(9, "lp-zero-div"))
+        want = reverse_mean(f, model, 0.1, np.array([0.1]), 0.2, 48,
+                            substream(9, "lp-zero-div"))
         assert got == want
 
     def test_constants_factor_out_exactly(self):
