@@ -59,27 +59,20 @@ class Likelihood:
         self._log_norm = -0.5 * (d * math.log(2.0 * math.pi)
                                  + 2.0 * float(np.log(np.diag(chol)).sum()))
 
-    @property
-    def dim_obs(self) -> int:
-        return int(self.obs_prev.size)
 
+def likelihood_density(lik: Likelihood, x: Array) -> Array:
+    """Gaussian observation density ``(n,)`` at ``(n, dim)`` states.
 
-def log_likelihood(lik: Likelihood, x) -> Array:
-    """Log density of the current observation given states x, floored at -700."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    Evaluated in log space, with the log density floored at -700.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ConfigurationError(f"expected (n, dim) states; got shape {x.shape}")
     mean = lik.obs_prev + np.asarray(lik.obs_map(x), dtype=float) * lik.dt
     diff = lik.obs_now - mean
     # explicit quadratic form keeps per-row results independent of batch shape
     quad = ((diff[..., None, :] * lik._precision).sum(axis=-1) * diff).sum(axis=-1)
-    return np.maximum(lik._log_norm - 0.5 * quad, LOG_FLOOR)
-
-
-def likelihood_density(lik: Likelihood, x):
-    """Gaussian observation density at states x; scalar in, scalar out."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    out = np.exp(log_likelihood(lik, x))
-    return float(out[0]) if single else out
+    return np.exp(np.maximum(lik._log_norm - 0.5 * quad, LOG_FLOOR))
 
 
 def _id_ordered_mean(values: Array, ids: Array) -> float:

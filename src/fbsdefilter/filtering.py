@@ -19,10 +19,10 @@ from .artifacts import write_csv, write_json
 from .bayes import DENSITY_FLOOR, Likelihood, bayes_update, denominator_mc, \
     likelihood_density
 from .errors import ConfigurationError, FilterError
-from .kde import KernelDensity, save_density
+from .kde import KernelDensity, _as_points, save_density
 from .learn import TrainConfig, sgd_fit
 from .model import StateSpaceModel, TimeGrid, check_drift_divergence, euler_step
-from .predict import ParticleCloud, PredictConfig, predict_cloud
+from .predict import ParticleCloud, PredictConfig, check_contraction, predict_cloud
 from .rngs import substream
 
 Array = np.ndarray
@@ -67,8 +67,8 @@ class InitialDensity:
 
     model: StateSpaceModel
 
-    def eval(self, x):
-        return self.model.initial_density(np.atleast_2d(np.asarray(x, dtype=float)))
+    def eval(self, x: Array) -> Array:
+        return self.model.initial_density(_as_points(x, self.model.dim_state))
 
 
 @dataclass
@@ -79,37 +79,15 @@ class FilterState:
     diagnostics: StepDiagnostics = field(default_factory=StepDiagnostics)
 
 
-def check_contraction(model: StateSpaceModel, cfg: FilterConfig) -> None:
-    """Guard the damped fixed-point recursion of the prediction stage.
-
-    A linear model's divergence is the constant trace of its drift matrix,
-    so there the check is exact and hard (raises); otherwise the bound is
-    estimated from initial-law samples and violations only warn.
-    """
-    dt = cfg.grid.max_dt
-    if model.linear is not None:
-        bound = abs(float(np.trace(model.linear.drift_matrix)))
-        if dt * bound >= 0.5:
-            raise ConfigurationError(
-                f"dt * divergence bound = {dt * bound:.3g} >= 0.5; "
-                "shrink the time step")
-        return
-    probe = model.initial_sampler(256, substream(cfg.seed, "contraction-probe"))
-    est = float(np.max(np.abs(model.drift_divergence(probe))))
-    if dt * est >= 0.5:
-        warnings.warn(
-            f"estimated dt * divergence {dt * est:.3g} >= 0.5; the prediction "
-            "fixed point may not contract", stacklevel=2)
-
-
 def initialize(model: StateSpaceModel, cfg: FilterConfig) -> FilterState:
     """Draw the starting cloud from the initial law; density is exact there.
 
-    The model's drift divergence is cross-checked and the prediction
-    stage's contraction guarded before any draw.
+    The model's drift divergence is cross-checked before any draw, and so is
+    the contraction of the fixed-point recursion when the variant iterates.
     """
     check_drift_divergence(model)
-    check_contraction(model, cfg)
+    if cfg.predict.variant == "right_point_fixed_point":
+        check_contraction(model, cfg.grid.max_dt, cfg.seed)
     locations = model.initial_sampler(cfg.n_particles, substream(cfg.seed, "init"))
     locations = np.asarray(locations, dtype=float)
     if locations.shape != (cfg.n_particles, model.dim_state):

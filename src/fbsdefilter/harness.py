@@ -208,13 +208,13 @@ def kde_rate_study(sample_counts=(250, 1000, 4000, 16000), dim: int = 1,
     """
     counts = sorted(int(n) for n in sample_counts)
     truth = (2.0 * math.pi) ** (-dim / 2.0)
-    query = 0.0 if dim == 1 else np.zeros(dim)
+    query = np.zeros((1, dim))
 
     def one_rep(rep: int) -> Array:
         rng = substream(seed, "kde-rate", rep)
         out = np.empty(len(counts))
         for j, n in enumerate(counts):
-            est = parzen_estimate(rng.standard_normal((n, dim)), query, truth)
+            est = parzen_estimate(rng.standard_normal((n, dim)), query, truth)[0]
             out[j] = (est - truth) ** 2
         return out
 
@@ -356,12 +356,11 @@ def dt_rate_study(step_sizes=(0.1, 0.05, 0.025, 0.0125), replications: int = 200
 
 @dataclass
 class GridSettings:
-    t0: float = 0.0
     horizon: float = 1.0
     steps: int = 10
 
     def build(self) -> TimeGrid:
-        return TimeGrid.uniform(horizon=self.horizon, steps=self.steps, t0=self.t0)
+        return TimeGrid.uniform(horizon=self.horizon, steps=self.steps)
 
 
 @dataclass
@@ -371,10 +370,6 @@ class FilterSettings:
     n_kernels: int = 24
     sgd_steps: int = 2000
     variant: str = PredictConfig.variant
-    decouple_mc: bool = PredictConfig.decouple_mc
-    rate_weights: float = TrainConfig.rate_weights
-    rate_bandwidths: float = TrainConfig.rate_bandwidths
-    center_rule: str = TrainConfig.center_rule
 
 
 @dataclass
@@ -407,11 +402,8 @@ class ExperimentConfig:
             grid=self.grid.build(),
             n_particles=fs.n_particles,
             n_kernels=fs.n_kernels,
-            predict=PredictConfig(mc_samples=fs.mc_samples, variant=fs.variant,
-                                  decouple_mc=fs.decouple_mc),
-            train=TrainConfig(sgd_steps=fs.sgd_steps, rate_weights=fs.rate_weights,
-                              rate_bandwidths=fs.rate_bandwidths,
-                              center_rule=fs.center_rule),
+            predict=PredictConfig(mc_samples=fs.mc_samples, variant=fs.variant),
+            train=TrainConfig(sgd_steps=fs.sgd_steps),
             seed=self.seed if seed is None else seed,
         )
 

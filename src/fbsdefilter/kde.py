@@ -25,26 +25,13 @@ SQRT_PI = math.sqrt(math.pi)
 EVAL_BLOCK_ROWS = 2048
 
 
-def _as_points(x, dim: int) -> tuple[Array, bool]:
-    """Normalize query input to (n, dim); returns (points, was_single_point).
-
-    For dim == 1 a python scalar or 0-d array is a single point and a 1-d
-    array is a batch; for dim > 1 a 1-d array of length dim is a single point.
-    """
+def _as_points(x: Array, dim: int) -> Array:
+    """``x`` as a float array, checked to be ``(n, dim)`` points."""
     x = np.asarray(x, dtype=float)
-    if dim == 1:
-        if x.ndim == 0:
-            return x.reshape(1, 1), True
-        if x.ndim == 1:
-            return x[:, None], False
-        if x.ndim == 2 and x.shape[1] == 1:
-            return x, False
-    else:
-        if x.ndim == 1 and x.shape[0] == dim:
-            return x[None, :], True
-        if x.ndim == 2 and x.shape[1] == dim:
-            return x, False
-    raise ConfigurationError(f"cannot interpret points of shape {x.shape} in dimension {dim}")
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ConfigurationError(
+            f"expected (n, dim) points with dim={dim}; got shape {x.shape}")
+    return x
 
 
 def _sq_dists(points: Array, centers: Array) -> Array:
@@ -93,19 +80,19 @@ class KernelDensity:
     def dim(self) -> int:
         return int(self.centers.shape[1])
 
-    def eval(self, x):
-        """Mixture value at x; scalar in, scalar out, batch in, batch out.
+    def eval(self, x: Array) -> Array:
+        """Mixture values ``(n,)`` at ``(n, dim)`` points.
 
         Points are evaluated ``EVAL_BLOCK_ROWS`` at a time; each value is a
         sum over its own row, so blocking leaves every value unchanged.
         """
-        pts, single = _as_points(x, self.dim)
+        pts = _as_points(x, self.dim)
         vals = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], EVAL_BLOCK_ROWS):
             rows = slice(start, start + EVAL_BLOCK_ROWS)
             _sq, bumps = _bumps(pts[rows], self.centers, self.bandwidths)
             vals[rows] = (bumps * self.weights).sum(axis=-1)
-        return float(vals[0]) if single else vals
+        return vals
 
     def component_integrals(self) -> Array:
         """Integral of each (unweighted) bump: (bandwidth * sqrt(pi))^dim."""
@@ -192,19 +179,20 @@ def gaussian_bandwidth(n: int, dim: int, density_sup: float) -> float:
     return (roughness * dim / (4.0 * n * moment)) ** (1.0 / (4 + dim))
 
 
-def parzen_estimate(samples: Array, x, density_sup: float):
-    """Fixed-bandwidth average-of-kernels density estimate at x.
+def parzen_estimate(samples: Array, x: Array, density_sup: float) -> Array:
+    """Fixed-bandwidth average-of-kernels density estimate ``(n,)`` at ``(n, dim)`` x.
 
-    ``samples`` is ``(n, dim)``, or ``(n,)`` in one dimension.  Uses the
-    standard normal kernel, i.e. the normalised bump at bandwidth
-    ``sqrt(2) * h``, with ``h = gaussian_bandwidth(n, dim, density_sup)``.
+    ``samples`` is ``(n_samples, dim)``.  Uses the standard normal kernel,
+    i.e. the normalised bump at bandwidth ``sqrt(2) * h``, with
+    ``h = gaussian_bandwidth(n_samples, dim, density_sup)``.
     """
     samples = np.asarray(samples, dtype=float)
-    dim = samples.shape[1] if samples.ndim == 2 else 1
-    pts, _ = _as_points(samples, dim)
-    query, single = _as_points(x, dim)
-    h = gaussian_bandwidth(pts.shape[0], dim, density_sup)
-    _sq, bumps = _bumps(query, pts, math.sqrt(2.0) * h)
+    if samples.ndim != 2:
+        raise ConfigurationError(
+            f"expected (n, dim) samples; got shape {samples.shape}")
+    n, dim = samples.shape
+    query = _as_points(x, dim)
+    h = gaussian_bandwidth(n, dim, density_sup)
+    _sq, bumps = _bumps(query, samples, math.sqrt(2.0) * h)
     kernel_norm = (2.0 * math.pi) ** (-dim / 2.0)
-    out = (kernel_norm * bumps).mean(axis=1) / h ** dim
-    return float(out[0]) if single else out
+    return (kernel_norm * bumps).mean(axis=1) / h ** dim

@@ -16,8 +16,6 @@ from .predict import ParticleCloud
 
 Array = np.ndarray
 
-CENTER_RULES = ("uniform_subsample", "weighted_subsample")
-
 # Bandwidths are clamped at this fraction of the initial bandwidth, since the
 # bandwidth gradient grows like the inverse cube and unguarded descent can
 # collapse a component.
@@ -26,7 +24,7 @@ BANDWIDTH_FLOOR_FRAC = 1e-3
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Step count, learning rates, and center rule of the fit.
+    """Step count and learning rates of the fit.
 
     Rates decay as ``rate / (1 + s / s0)`` with ``s0`` half the step count
     (at least 1).  Every bandwidth starts at the median pairwise distance
@@ -37,15 +35,12 @@ class TrainConfig:
     sgd_steps: int
     rate_weights: float = 0.05
     rate_bandwidths: float = 0.02
-    center_rule: str = "uniform_subsample"
 
     def __post_init__(self):
         if self.sgd_steps < 1:
             raise ConfigurationError("sgd_steps must be >= 1")
         if self.rate_weights <= 0 or self.rate_bandwidths <= 0:
             raise ConfigurationError("learning rates must be positive")
-        if self.center_rule not in CENTER_RULES:
-            raise ConfigurationError(f"center_rule must be one of {CENTER_RULES}")
 
     def rate_at(self, step: int | Array) -> tuple:
         """Weight and bandwidth rates at a step, or at an array of steps."""
@@ -70,23 +65,11 @@ class LossReport:
     bandwidth_clamps: int = 0
 
 
-def _select_center_rows(values: Array, n_kernels: int, rule: str,
-                        rng: np.random.Generator) -> Array:
-    """Sorted distinct center rows, for a ``rule`` that ``TrainConfig`` has checked.
-
-    ``weighted_subsample`` picks rows with probability proportional to ``values``.
-    """
-    n = values.size
+def _select_center_rows(n: int, n_kernels: int, rng: np.random.Generator) -> Array:
+    """Sorted distinct center rows, a uniform subsample of the ``n`` rows."""
     if not 1 <= n_kernels <= n:
         raise ConfigurationError(f"need 1 <= n_kernels <= {n}, got {n_kernels}")
-    if rule == "uniform_subsample":
-        rows = rng.choice(n, size=n_kernels, replace=False)
-    else:
-        total = values.sum()
-        if total <= 0:
-            raise ConfigurationError(
-                "weighted center selection needs a positive total value")
-        rows = rng.choice(n, size=n_kernels, replace=False, p=values / total)
+    rows = rng.choice(n, size=n_kernels, replace=False)
     return np.sort(rows)  # stable order by particle index
 
 
@@ -143,7 +126,6 @@ def full_loss(kd: KernelDensity, locations: Array, targets: Array) -> float:
 
 def full_gradient_norm(kd: KernelDensity, locations: Array, targets: Array) -> float:
     """Euclidean norm of the average-loss gradient over both parameter blocks."""
-    locations = np.atleast_2d(np.asarray(locations, dtype=float))
     sq, bumps = _bumps(locations, kd.centers, kd.bandwidths)
     resid = (bumps * kd.weights).sum(axis=1) - np.asarray(targets, dtype=float)
     grad_w = 2.0 * (resid[:, None] * bumps).mean(axis=0)
@@ -180,7 +162,7 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
     targets = training.values[order]
     n = targets.size
 
-    rows = _select_center_rows(targets, n_kernels, cfg.center_rule, rng)
+    rows = _select_center_rows(n, n_kernels, rng)
     centers = locations[rows].copy()
     width0 = _initial_bandwidth(centers, locations)
     dim = centers.shape[1]

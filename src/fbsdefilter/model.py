@@ -110,19 +110,25 @@ class StateSpaceModel:
 def check_drift_divergence(model: StateSpaceModel) -> None:
     """Cross-check the model's divergence against finite differences.
 
-    Raises ConfigurationError when the relative mismatch at any of 32 probe
-    points drawn from N(0, 4 I) exceeds ``DIVERGENCE_CHECK_RTOL``; catches
-    hand-derived divergence errors in user models before they silently
-    corrupt the prediction step.  The probes come from a stream of their
-    own, so the check moves no other draw.
+    Raises ConfigurationError when the relative mismatch exceeds
+    ``DIVERGENCE_CHECK_RTOL`` at any of 32 probe points drawn from N(0, 4 I)
+    where the finite difference is finite, or when it is finite at none;
+    catches hand-derived divergence errors in user models before they
+    silently corrupt the prediction step.  The probes come from a stream of
+    their own, so the check moves no other draw.
     """
     rng = substream(DIVERGENCE_CHECK_SEED, "divergence-check")
     probes = 2.0 * rng.standard_normal((32, model.dim_state))
     analytic = np.asarray(model.drift_divergence(probes), dtype=float)
     numeric = finite_difference_divergence(model.drift, probes)
-    err = np.abs(analytic - numeric) / (1.0 + np.abs(numeric))
-    worst = int(np.argmax(err))
-    if err[worst] > DIVERGENCE_CHECK_RTOL:
+    rows = np.flatnonzero(np.isfinite(numeric))
+    if rows.size == 0:
+        raise ConfigurationError(
+            "drift has no finite difference at any divergence probe point")
+    err = np.abs(analytic[rows] - numeric[rows]) / (1.0 + np.abs(numeric[rows]))
+    # argmax returns the first NaN, which fails the comparison below
+    worst = rows[int(np.argmax(err))]
+    if not err.max() <= DIVERGENCE_CHECK_RTOL:
         raise ConfigurationError(
             "drift_divergence disagrees with finite differences at "
             f"x={probes[worst]}: analytic {analytic[worst]:.6g} vs "
@@ -144,16 +150,13 @@ class TimeGrid:
             raise ConfigurationError("time knots must be strictly increasing")
 
     @classmethod
-    def uniform(cls, horizon: float, steps: int, t0: float = 0.0) -> "TimeGrid":
+    def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
+        """``steps`` equal intervals from 0 to ``horizon``."""
         if steps < 1:
             raise ConfigurationError("steps must be >= 1")
-        if horizon <= t0:
-            raise ConfigurationError("horizon must exceed t0")
-        return cls(np.linspace(t0, horizon, steps + 1))
-
-    @property
-    def t0(self) -> float:
-        return float(self.knots[0])
+        if horizon <= 0:
+            raise ConfigurationError("horizon must be positive")
+        return cls(np.linspace(0.0, horizon, steps + 1))
 
     @property
     def horizon(self) -> float:

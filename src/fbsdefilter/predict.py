@@ -9,6 +9,7 @@ workers.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +26,29 @@ VARIANTS = ("right_point_fixed_point", "left_point")
 # Iterates beyond this multiple of the data scale mean the drift-divergence
 # correction is not a contraction at the configured step size.
 DIVERGENCE_FACTOR = 1e6
+
+
+def check_contraction(model: StateSpaceModel, dt: float, seed: int) -> None:
+    """Guard the damped fixed-point recursion of ``right_point_fixed_point``.
+
+    A linear model's divergence is the constant trace of its drift matrix,
+    so there the check is exact and hard (raises); otherwise the bound is
+    estimated from initial-law samples and violations only warn.
+    """
+    if model.linear is not None:
+        bound = abs(float(np.trace(model.linear.drift_matrix)))
+        if dt * bound >= 0.5:
+            raise ConfigurationError(
+                f"dt * divergence bound = {dt * bound:.3g} >= 0.5; "
+                "shrink the time step")
+        return
+    probe = model.initial_sampler(256, substream(seed, "contraction-probe"))
+    est = float(np.max(np.abs(model.drift_divergence(probe))))
+    if dt * est >= 0.5:
+        warnings.warn(
+            f"estimated dt * divergence {dt * est:.3g} >= 0.5; the prediction "
+            "fixed point may not contract", stacklevel=2)
+
 
 @dataclass
 class ParticleCloud:

@@ -34,7 +34,7 @@ class TestLikelihoodDensity:
     def test_hand_computed_value(self):
         # mean 0.1, variance 0.1, observation at the mean: peak density
         lik = make_likelihood(obs_prev=0.0, obs_now=0.1, dt=0.1, noise=1.0)
-        val = likelihood_density(lik, np.array([1.0]))
+        val = likelihood_density(lik, np.array([[1.0]]))[0]
         assert val == pytest.approx((2 * math.pi * 0.1) ** -0.5, rel=1e-12)
         assert val == pytest.approx(1.26157, abs=5e-6)
 
@@ -42,14 +42,14 @@ class TestLikelihoodDensity:
         dt, r = 0.2, 0.7
         lik = make_likelihood(obs_prev=0.3, obs_now=0.3, dt=dt, noise=r,
                               obs_map=lambda x: 0.0 * np.asarray(x, dtype=float))
-        val = likelihood_density(lik, np.array([5.0]))
+        val = likelihood_density(lik, np.array([[5.0]]))[0]
         assert val == pytest.approx((2 * math.pi * dt) ** -0.5 / r, rel=1e-12)
 
     def test_integrates_to_one_over_observation(self):
         lik_builder = lambda o: make_likelihood(obs_prev=0.0, obs_now=o, dt=0.15,
                                                 noise=0.8)
-        x = np.array([0.4])
-        total, err = quad(lambda o: likelihood_density(lik_builder(o), x), -10, 10,
+        x = np.array([[0.4]])
+        total, err = quad(lambda o: likelihood_density(lik_builder(o), x)[0], -10, 10,
                           epsabs=1e-12)
         assert abs(total - 1.0) < 1e-8
 
@@ -59,8 +59,14 @@ class TestLikelihoodDensity:
 
     def test_floor_prevents_zero(self):
         lik = make_likelihood(obs_prev=0.0, obs_now=100.0, dt=0.01, noise=0.1)
-        val = likelihood_density(lik, np.array([0.0]))
+        val = likelihood_density(lik, np.array([[0.0]]))[0]
         assert val == DENSITY_FLOOR
+
+    @pytest.mark.parametrize("states", [np.array([1.0]), np.array(1.0)])
+    def test_states_other_than_n_by_dim_rejected(self, states):
+        lik = make_likelihood()
+        with pytest.raises(ConfigurationError, match=r"\(n, dim\)"):
+            likelihood_density(lik, states)
 
 
 class TestBayesUpdate:

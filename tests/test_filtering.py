@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -33,15 +34,19 @@ LINEAR_ZOO = [name for name, make in MODEL_ZOO.items() if make().linear is not N
 
 
 def small_config(grid, seed=0, n_particles=200, mc_samples=16, n_kernels=16,
-                 sgd_steps=600, **train_kwargs):
+                 sgd_steps=600, variant=PredictConfig.variant, **train_kwargs):
     return FilterConfig(
         grid=grid,
         n_particles=n_particles,
         n_kernels=n_kernels,
-        predict=PredictConfig(mc_samples=mc_samples),
+        predict=PredictConfig(mc_samples=mc_samples, variant=variant),
         train=TrainConfig(sgd_steps=sgd_steps, **train_kwargs),
         seed=seed,
     )
+
+
+def sampler_that_must_not_run(n, rng):
+    raise AssertionError("initial law sampled before the divergence check")
 
 
 class TestInitialize:
@@ -74,25 +79,48 @@ class TestInitialize:
         grid = TimeGrid.uniform(horizon=3.0, steps=4)  # dt = 0.75
         with pytest.raises(ConfigurationError, match="shrink"):
             initialize(model, small_config(grid))
+        # the explicit variant does not iterate, so nothing is guarded: the
+        # same step, and linear1d at dt * 0.5 = 0.5, start without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            initialize(model, small_config(grid, variant="left_point"))
+            initialize(get_model("linear1d"),
+                       small_config(TimeGrid.uniform(horizon=4.0, steps=4),
+                                    variant="left_point"))
 
     def test_contraction_guard_warns_when_only_estimable(self):
         model = get_model("doublewell1d")  # unbounded divergence
         grid = TimeGrid.uniform(horizon=8.0, steps=4)
         with pytest.warns(UserWarning, match="contract"):
             initialize(model, small_config(grid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            initialize(model, small_config(grid, variant="left_point"))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_wrong_divergence_rejected_before_any_draw(self):
-        # div(-x) is -1, not 2; the probe point is named in the message
-        model = make_model_1d(drift=lambda x: -np.asarray(x, dtype=float),
-                              divergence=lambda x: np.full(np.asarray(x).shape[:-1], 2.0))
+        def decay(x):
+            return -np.asarray(x, dtype=float)
 
-        def sampler(n, rng):
-            raise AssertionError("initial law sampled before the divergence check")
+        def decay_infinite_beyond_3(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x) <= 3.0, -x, np.inf)
 
-        model.initial_sampler = sampler
-        grid = TimeGrid.uniform(horizon=1.0, steps=4)
-        with pytest.raises(ConfigurationError, match=r"disagrees .* at x=\["):
-            initialize(model, small_config(grid))
+        # div(-x) is -1, not 2 or 5, and the probe point is named in the
+        # message; with the drift infinite beyond |x| = 3 the probes there are
+        # skipped and those inside still compared, and with a drift infinite
+        # everywhere nothing can be compared
+        for drift, divergence, match in (
+                (decay, 2.0, r"disagrees .* at x=\["),
+                (decay_infinite_beyond_3, 5.0, r"disagrees .* at x=\["),
+                (lambda x: np.inf * np.ones_like(x), -1.0, "no finite difference")):
+            model = make_model_1d(
+                drift=drift,
+                divergence=lambda x, d=divergence: np.full(np.asarray(x).shape[:-1], d))
+            model.initial_sampler = sampler_that_must_not_run
+            grid = TimeGrid.uniform(horizon=1.0, steps=4)
+            with pytest.raises(ConfigurationError, match=match):
+                initialize(model, small_config(grid))
 
 
 def per_particle_metropolis(cloud, kd, stream_for):

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbsdefilter.cli import main as cli_main
-from fbsdefilter.errors import ConfigurationError, DivergentLearningError, \
-    ModelBlowUpError
+from fbsdefilter.errors import ConfigurationError, ContractionError, ModelBlowUpError
 from fbsdefilter.harness import (
     ConvergenceReport,
     ExperimentConfig,
@@ -29,7 +28,8 @@ from fbsdefilter.harness import (
     run_rate_study,
     save_report,
 )
-from fbsdefilter.model import TimeGrid, get_model, simulate_truth
+from fbsdefilter.model import MODEL_ZOO, TimeGrid, get_model, register_model, \
+    simulate_truth
 from fbsdefilter.rngs import substream
 
 from conftest import make_model_1d
@@ -286,21 +286,32 @@ def test_pooled_job_warnings_reach_the_caller():
     assert caught == []
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
-def test_pooled_job_error_is_raised_as_in_a_serial_run(tmp_path):
+@pytest.fixture
+def steep_decay_model():
+    """A registered model whose divergence -40 scales each right-point iterate
+    by 40 dt; it is not linear, so the contraction guard only warns."""
+    register_model("steep-decay", lambda: make_model_1d(
+        drift=lambda x: -40.0 * np.asarray(x, dtype=float),
+        divergence=lambda x: np.full(np.asarray(x).shape[:-1], -40.0)))
+    yield "steep-decay"
+    MODEL_ZOO.pop("steep-decay")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_pooled_job_error_is_raised_as_in_a_serial_run(tmp_path, steep_decay_model):
     messages = []
     for threads in (1, 2):
         cfg = ExperimentConfig(
-            model="linear1d", seed=3, out_dir=str(tmp_path / f"threads{threads}"),
+            model=steep_decay_model, seed=3, out_dir=str(tmp_path / f"threads{threads}"),
             grid=GridSettings(horizon=0.5, steps=3),
             filter=FilterSettings(n_particles=100, mc_samples=8, n_kernels=8,
-                                  sgd_steps=200, rate_weights=1e6, rate_bandwidths=1e6),
+                                  sgd_steps=200),
             replications=2, threads=threads)
-        with pytest.raises(DivergentLearningError) as info:
+        with pytest.raises(ContractionError) as info:
             run_experiment(cfg)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
-    assert messages[0].startswith("step 3: non-finite kernel parameters")
+    assert messages[0].startswith("step 1: fixed-point iteration diverged")
 
     def failing(text):
         def job():

@@ -23,8 +23,10 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 def bump(x, center, bandwidth):
-    """The Gaussian bump exp(-|x - center|^2 / bandwidth^2) as a unit-weight mixture."""
-    return KernelDensity([np.atleast_1d(center)], [1.0], [bandwidth]).eval(x)
+    """The Gaussian bump exp(-|x - center|^2 / bandwidth^2) at one point x."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    kd = KernelDensity([np.atleast_1d(center)], [1.0], [bandwidth])
+    return kd.eval(x[None, :])[0]
 
 
 def draw(kd, rng, n):
@@ -48,7 +50,7 @@ class TestPhi:
     @given(x=st.floats(-20, 20), c=st.floats(-20, 20), bw=st.floats(1.6, 50))
     def test_range_is_half_open_unit_interval(self, x, c, bw):
         # bw floor keeps the exponent above the float64 underflow threshold
-        val = float(bump(x, c, bw))
+        val = bump(x, c, bw)
         assert 0.0 < val <= 1.0
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -60,29 +62,29 @@ class TestPhi:
         x = 2.0 * rng.standard_normal((25, dim))
         kd = KernelDensity([c], [1.0], [b])
         _sq, bumps = _bumps(x, c[None, :], b)
-        assert np.array_equal(bumps[:, 0], kd.eval(x if dim > 1 else x[:, 0]))
-        assert bumps[0, 0] == kd.eval(x[0] if dim > 1 else x[0, 0])
+        assert np.array_equal(bumps[:, 0], kd.eval(x))
+        assert bumps[0, 0] == kd.eval(x[:1])[0]
 
 
 class TestEval:
     def test_single_component_at_center(self):
         kd = KernelDensity([[1.0]], [1.0], [0.5])
-        assert kd.eval(1.0) == 1.0
+        assert kd.eval(np.array([[1.0]]))[0] == 1.0
 
     def test_zero_weights_everywhere_zero(self):
         kd = KernelDensity([[0.0], [2.0]], [0.0, 0.0], [1.0, 1.0])
-        assert np.all(kd.eval(np.linspace(-5, 5, 11)) == 0.0)
+        assert np.all(kd.eval(np.linspace(-5, 5, 11)[:, None]) == 0.0)
 
     def test_symmetric_pair_is_even_function(self):
         kd = KernelDensity([[-1.5], [1.5]], [0.7, 0.7], [0.9, 0.9])
-        xs = np.linspace(0.0, 4.0, 23)
+        xs = np.linspace(0.0, 4.0, 23)[:, None]
         np.testing.assert_allclose(kd.eval(xs), kd.eval(-xs), rtol=1e-14)
 
     @settings(max_examples=40, derandomize=True)
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
     def test_linear_in_weights(self, a, b):
         centers, bws = [[-0.5], [1.0]], [0.8, 1.3]
-        xs = np.linspace(-2, 2, 7)
+        xs = np.linspace(-2, 2, 7)[:, None]
         combined = KernelDensity(centers, [a + b, a - b], bws).eval(xs)
         first = KernelDensity(centers, [a, a], bws).eval(xs)
         second = KernelDensity(centers, [b, -b], bws).eval(xs)
@@ -98,11 +100,19 @@ class TestEval:
         diff = x[:, None, :] - kd.centers
         sq = (diff * diff).sum(axis=-1)
         one_shot = (np.exp(-sq / kd.bandwidths ** 2) * kd.weights).sum(axis=-1)
-        vals = kd.eval(x if dim > 1 else x[:, 0])
+        vals = kd.eval(x)
         assert vals.shape == (x.shape[0],)
         assert vals.tobytes() == one_shot.tobytes()
-        single = kd.eval(x[-1] if dim > 1 else float(x[-1, 0]))
-        assert type(single) is float and single == one_shot[-1]
+        # one point is the batch of one: same bits as its row in the batch
+        assert kd.eval(x[-1:]).tobytes() == one_shot[-1:].tobytes()
+
+    @pytest.mark.parametrize("points", [np.array([0.1, 0.2]), np.array(0.1),
+                                        np.zeros((3, 2)), np.zeros((2, 1, 1))])
+    def test_points_other_than_n_by_dim_rejected(self, points):
+        # a 1-d array is not read as n points in 1-d (nor as one point in 2-d)
+        kd = KernelDensity([[0.0]], [1.0], [1.0])
+        with pytest.raises(ConfigurationError, match=r"\(n, dim\)"):
+            kd.eval(points)
 
 
 class TestMass:
@@ -117,7 +127,7 @@ class TestMass:
     def test_matches_trapezoid_quadrature_1d(self):
         kd = KernelDensity([[-1.0], [0.5], [2.0]], [0.4, -0.1, 0.25], [0.7, 1.1, 0.5])
         xs = np.linspace(-20.0, 20.0, 40001)
-        quad = np.trapezoid(kd.eval(xs), xs)
+        quad = np.trapezoid(kd.eval(xs[:, None]), xs)
         assert abs(kd.mass() - quad) < 1e-8
 
     def test_matches_quadrature_2d(self):
@@ -218,8 +228,12 @@ class TestBandwidthSpec:
 class TestParzenEstimate:
     def test_single_sample_at_query_point(self):
         h = gaussian_bandwidth(n=1, dim=1, density_sup=0.4)
-        val = parzen_estimate(np.array([0.4]), 0.4, 0.4)
+        val = parzen_estimate(np.array([[0.4]]), np.array([[0.4]]), 0.4)[0]
         assert val == pytest.approx((2 * math.pi) ** -0.5 / h, rel=1e-12)
+
+    def test_samples_other_than_n_by_dim_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"\(n, dim\)"):
+            parzen_estimate(np.array([0.4, 0.5]), np.array([[0.4]]), 0.4)
 
     def test_pointwise_error_shrinks_with_samples(self):
         truth = (2 * math.pi) ** -0.5
@@ -228,6 +242,7 @@ class TestParzenEstimate:
         for n in (400, 12800):
             sq = 0.0
             for _ in range(40):
-                sq += (parzen_estimate(rng.standard_normal(n), 0.0, truth) - truth) ** 2
+                est = parzen_estimate(rng.standard_normal((n, 1)), np.zeros((1, 1)), truth)
+                sq += (est[0] - truth) ** 2
             errs.append(sq / 40)
         assert errs[1] < errs[0] * 0.2

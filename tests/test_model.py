@@ -165,9 +165,9 @@ class TestDriftDivergence:
 
 class TestTimeGrid:
     def test_uniform_grid_properties(self):
-        grid = TimeGrid.uniform(horizon=2.0, steps=8, t0=0.0)
+        grid = TimeGrid.uniform(horizon=2.0, steps=8)
         assert grid.steps == 8
-        assert grid.horizon == 2.0
+        assert grid.time(0) == 0.0 and grid.horizon == 2.0
         assert grid.max_dt == pytest.approx(0.25)
         assert grid.dt(1) == pytest.approx(0.25)
 
