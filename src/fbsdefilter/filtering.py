@@ -103,21 +103,23 @@ def initialize(model: StateSpaceModel, cfg: FilterConfig) -> FilterState:
 def _metropolis(cloud: ParticleCloud, kd: KernelDensity,
                 stream_for: Callable[[int], np.random.Generator]
                 ) -> tuple[ParticleCloud, float]:
-    n, dim = cloud.n_particles, kd.dim
-    u = np.empty(n)
-    z = np.empty((n, dim))
-    accept_u = np.empty(n)
-    for row, pid in enumerate(cloud.ids):
-        rng = stream_for(int(pid))
-        u[row] = rng.random()
-        z[row] = rng.standard_normal(dim)
-        accept_u[row] = rng.random()
-    proposals = kd.inverse_sample(u, z)
-    old_vals = np.maximum(kd.eval(cloud.locations), DENSITY_FLOOR)
-    ratio = np.maximum(kd.eval(proposals), 0.0) / old_vals
-    accept = accept_u < np.minimum(1.0, ratio)
+    n = cloud.n_particles
+    u, accept_u = [], []
+    z = np.empty((n, kd.dim))
+    for pid, z_row in zip(cloud.ids.tolist(), z):
+        rng = stream_for(pid)
+        u.append(rng.random())
+        rng.standard_normal(out=z_row)
+        accept_u.append(rng.random())
+    proposals = kd.inverse_sample(np.array(u), z)
+    old_vals = kd.eval(cloud.locations)
+    prop_vals = kd.eval(proposals)
+    ratio = np.maximum(prop_vals, 0.0) / np.maximum(old_vals, DENSITY_FLOOR)
+    accept = np.array(accept_u) < np.minimum(1.0, ratio)
     new_locations = np.where(accept[:, None], proposals, cloud.locations)
-    values = np.maximum(kd.eval(new_locations), 0.0)
+    # each value is a sum over its own row: the survivor's value at its
+    # location is the one already computed there
+    values = np.maximum(np.where(accept, prop_vals, old_vals), 0.0)
     out = ParticleCloud(k=cloud.k, locations=new_locations, values=values,
                         stage="posterior", ids=cloud.ids.copy())
     return out, int(accept.sum()) / n
@@ -132,8 +134,8 @@ def metropolis_resample(cloud: ParticleCloud, kd: KernelDensity,
     probability is min(1, new value / old value); the ratio is unchanged by
     any positive rescaling of the mixture weights.  Old values are floored at
     the underflow constant before dividing, a zero-valued proposal keeps the
-    incumbent, and every surviving particle gets its value re-evaluated under
-    the mixture.
+    incumbent, and every surviving particle carries the mixture's value at
+    its location, floored at zero.
 
     ``stream_for`` maps a particle id to that particle's own generator, which
     draws, in this order, the component uniform, the ``dim`` standard normals

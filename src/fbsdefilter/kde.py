@@ -19,9 +19,9 @@ Array = np.ndarray
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Rows of query points per block in ``KernelDensity.eval``: each block's
-# (rows, L) temporaries stay in cache, and memory no longer grows with the
-# number of points.
+# Rows of query points per block in ``KernelDensity.eval``: its two
+# (rows, L) buffers stay in cache, and memory grows with the number of points
+# only through the output.
 EVAL_BLOCK_ROWS = 2048
 
 
@@ -34,10 +34,24 @@ def _as_points(x: Array, dim: int) -> Array:
     return x
 
 
-def _sq_dists(points: Array, centers: Array) -> Array:
-    """Squared distances ``(..., L)`` of ``(..., d)`` points to ``(L, d)`` centers."""
-    diff = points[..., None, :] - centers
-    return (diff * diff).sum(axis=-1)
+def _sq_dists(points: Array, centers: Array, out: Array | None = None,
+              diff: Array | None = None) -> Array:
+    """Squared distances ``(..., L)`` of ``(..., d)`` points to ``(L, d)`` centers.
+
+    Coordinates are added one at a time, left to right, which is the order
+    numpy's sum over a last axis shorter than 8 takes.  ``out`` and ``diff``
+    are optional ``(..., L)`` buffers for the result and the work.
+    """
+    shape = points.shape[:-1] + centers.shape[:1]
+    out = np.empty(shape) if out is None else out
+    diff = np.empty(shape) if diff is None else diff
+    for j in range(centers.shape[1]):
+        np.subtract(points[..., j, None], centers[:, j], diff)
+        if j == 0:
+            np.multiply(diff, diff, out)
+        else:
+            np.add(out, np.multiply(diff, diff, diff), out)
+    return out
 
 
 def _bumps(points: Array, centers: Array, bandwidths) -> tuple[Array, Array]:
@@ -83,15 +97,27 @@ class KernelDensity:
     def eval(self, x: Array) -> Array:
         """Mixture values ``(n,)`` at ``(n, dim)`` points.
 
-        Points are evaluated ``EVAL_BLOCK_ROWS`` at a time; each value is a
-        sum over its own row, so blocking leaves every value unchanged.
+        Points are evaluated ``EVAL_BLOCK_ROWS`` at a time in two
+        ``(rows, L)`` buffers allocated once per call; each value is a sum
+        over its own row, so blocking leaves every value unchanged.  Dividing
+        by ``-(bandwidth^2)`` gives the bits of ``_bumps``'s ``-sq / bw^2``,
+        since IEEE division is symmetric in sign.
         """
         pts = _as_points(x, self.dim)
-        vals = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], EVAL_BLOCK_ROWS):
-            rows = slice(start, start + EVAL_BLOCK_ROWS)
-            _sq, bumps = _bumps(pts[rows], self.centers, self.bandwidths)
-            vals[rows] = (bumps * self.weights).sum(axis=-1)
+        n = pts.shape[0]
+        vals = np.empty(n)
+        terms = np.empty((min(n, EVAL_BLOCK_ROWS), self.n_components))
+        work = np.empty_like(terms)
+        neg_bw2 = -(self.bandwidths ** 2)
+        for start in range(0, n, EVAL_BLOCK_ROWS):
+            block = pts[start:start + EVAL_BLOCK_ROWS]
+            rows = block.shape[0]
+            # squared distances, then bumps, then weighted bumps, in place
+            block_terms = _sq_dists(block, self.centers, terms[:rows], work[:rows])
+            np.divide(block_terms, neg_bw2, block_terms)
+            np.exp(block_terms, block_terms)
+            np.multiply(block_terms, self.weights, block_terms)
+            np.add.reduce(block_terms, axis=1, out=vals[start:start + rows])
         return vals
 
     def component_integrals(self) -> Array:

@@ -66,7 +66,10 @@ class ParticleCloud:
     ids: Array | None = None
 
     def __post_init__(self):
-        self.locations = np.atleast_2d(np.asarray(self.locations, dtype=float))
+        self.locations = np.asarray(self.locations, dtype=float)
+        if self.locations.ndim != 2:
+            raise ConfigurationError(
+                f"locations must be an (n, dim) array; got shape {self.locations.shape}")
         self.values = np.asarray(self.values, dtype=float).ravel()
         n = self.locations.shape[0]
         if self.values.shape != (n,):
@@ -214,9 +217,9 @@ def predict_cloud(prev_cloud: ParticleCloud, prev_density: Callable[[Array], Arr
 
     fwd_noise = np.empty((n, d_w))
     bwd_noise = np.empty((n, m, d_w))
-    for row, pid in enumerate(prev_cloud.ids):
-        fwd_noise[row] = substream(seed, "predict-forward", k, pid).standard_normal(d_w)
-        bwd_noise[row] = substream(seed, "predict-backward", k, pid).standard_normal((m, d_w))
+    for pid, fwd_row, bwd_row in zip(prev_cloud.ids.tolist(), fwd_noise, bwd_noise):
+        substream(seed, "predict-forward", k, pid).standard_normal(out=fwd_row)
+        substream(seed, "predict-backward", k, pid).standard_normal(out=bwd_row)
 
     try:
         forward = euler_step(model, grid.time(k - 1), prev_cloud.locations, dt,

@@ -15,8 +15,14 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 
+# Philox's counter at the start of every stream; an array is taken as is,
+# where the default 0 would go through numpy's int-to-array conversion.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
+
+
 def _digest(seed: int, purpose: str, indices: tuple) -> bytes:
-    tag = f"{int(seed)}|{purpose}|" + "|".join(str(int(i)) for i in indices)
+    tag = f"{int(seed)}|{purpose}|" + "|".join([str(int(i)) for i in indices])
     return hashlib.blake2b(tag.encode("ascii"), digest_size=16).digest()
 
 
@@ -38,7 +44,7 @@ class _Key(ISeedSequence):
 def substream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
     """Independent generator for the stream named (seed, purpose, *indices)."""
     key = np.frombuffer(_digest(seed, purpose, indices), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_Key(key)))
+    return np.random.Generator(np.random.Philox(_Key(key), counter=_ZERO_COUNTER))
 
 
 def derive_seed(seed: int, purpose: str, *indices: int) -> int:

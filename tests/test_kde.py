@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ class TestEval:
         second = KernelDensity(centers, [b, -b], bws).eval(xs)
         np.testing.assert_allclose(combined, first + second, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
     def test_blocked_eval_equals_one_shot_formula(self, dim):
         rng = substream(31, "eval-blocks", dim)
         kd = KernelDensity(rng.standard_normal((32, dim)), rng.uniform(-1.0, 1.0, 32),
@@ -105,6 +106,24 @@ class TestEval:
         assert vals.tobytes() == one_shot.tobytes()
         # one point is the batch of one: same bits as its row in the batch
         assert kd.eval(x[-1:]).tobytes() == one_shot[-1:].tobytes()
+
+    def test_eval_memory_is_its_buffers_and_output(self):
+        n, n_kernels = 200_000, 32
+        rng = substream(32, "eval-memory")
+        kd = KernelDensity(rng.standard_normal((n_kernels, 1)),
+                           rng.uniform(-1.0, 1.0, n_kernels),
+                           rng.uniform(0.3, 2.0, n_kernels))
+        x = rng.standard_normal((n, 1))
+        tracemalloc.start()
+        try:
+            vals = kd.eval(x)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two (rows, L) buffers, with room for small temporaries, but no
+        # (rows, L) temporary per block
+        block_bytes = EVAL_BLOCK_ROWS * n_kernels * 8
+        assert peak < 4 * block_bytes + vals.nbytes
 
     @pytest.mark.parametrize("points", [np.array([0.1, 0.2]), np.array(0.1),
                                         np.zeros((3, 2)), np.zeros((2, 1, 1))])

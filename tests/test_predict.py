@@ -398,6 +398,14 @@ class TestParticleCloud:
         with pytest.raises(ConfigurationError):
             ParticleCloud(k=0, locations=[[0.0], [1.0]], values=[1.0], stage="prior")
 
+    @pytest.mark.parametrize("locations, values", [
+        (np.array([0.1, 0.2, 0.3]), np.ones(3)),  # not one particle in 3-d
+        (np.array([0.1]), np.ones(1)),  # not one particle in 1-d either
+    ])
+    def test_locations_other_than_n_by_dim_rejected(self, locations, values):
+        with pytest.raises(ConfigurationError, match=r"\(n, dim\)"):
+            ParticleCloud(k=0, locations=locations, values=values, stage="prior")
+
     def test_negative_values_rejected(self):
         with pytest.raises(ConfigurationError):
             ParticleCloud(k=0, locations=[[0.0]], values=[-0.1], stage="prior")

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from fbsdefilter.rngs import _digest, substream
+from fbsdefilter.rngs import _digest, derive_seed, substream
 
 
 def _mixed_draws(rng: np.random.Generator) -> list:
@@ -26,3 +27,23 @@ def test_substream_is_the_philox_keyed_by_the_address_digest():
         state = rng.bit_generator.state
         assert state["has_uint32"] == 1 and state["state"]["counter"].any()
         assert repr(state) == repr(want_rng.bit_generator.state)
+
+
+# Digests and child seeds of three addresses, recorded once: every artifact
+# depends on the tag format, so a change to it (say, dropping the trailing
+# "|" of an address with no indices) must fail here, not only change data.
+GOLDEN_ADDRESSES = [
+    ((7, "init", ()), "fe81e6b19997c31ef78095ab90ff0be4", 2216782127966880254),
+    ((9, "rng-identity", (3, 41)), "f74aec3b6765e7f04ad716cfb1753c52",
+     17358954782784244471),
+    ((2 ** 40 + 5, "predict-backward", (np.int64(12), np.int64(1999))),
+     "369d68b9d7b4daad59ab2b57782153ef", 12527524152106065206),
+]
+
+
+@pytest.mark.parametrize("address, digest, child_seed", GOLDEN_ADDRESSES,
+                         ids=["no-indices", "two-indices", "int64-indices"])
+def test_stream_addresses_match_recorded_values(address, digest, child_seed):
+    seed, purpose, indices = address
+    assert _digest(seed, purpose, indices).hex() == digest
+    assert derive_seed(seed, purpose, *indices) == child_seed
