@@ -1,8 +1,8 @@
 """The artifact file formats: comma-separated tables and JSON records.
 
-Every table and record a run writes goes through these two functions, so a
-run's files are byte-identical for any worker count and across releases that
-keep the same numbers.
+Every table and record a run writes goes through these functions, so a run's
+files are byte-identical for any worker count and across releases that keep
+the same numbers.
 """
 
 from __future__ import annotations
@@ -18,6 +18,15 @@ def write_csv(path, header, rows) -> None:
         for row in rows:
             handle.write(",".join(str(c) if isinstance(c, (int, str)) else repr(float(c))
                                   for c in row) + "\n")
+
+
+def write_csv_columns(path, header, columns) -> None:
+    """ASCII table from equal-length columns of Python ``int`` and ``float``
+    cells, such as ``ndarray.tolist()`` gives; every cell goes through
+    ``repr``, which writes the bytes ``write_csv`` writes for the same cells."""
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
 
 
 def write_json(path, payload) -> None:

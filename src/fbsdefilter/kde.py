@@ -72,7 +72,10 @@ class KernelDensity:
     bandwidths: Array
 
     def __post_init__(self):
-        self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        self.centers = np.asarray(self.centers, dtype=float)
+        if self.centers.ndim != 2:
+            raise ConfigurationError(
+                f"centers must be an (L, dim) array; got shape {self.centers.shape}")
         self.weights = np.asarray(self.weights, dtype=float).ravel()
         self.bandwidths = np.asarray(self.bandwidths, dtype=float).ravel()
         n = self.centers.shape[0]

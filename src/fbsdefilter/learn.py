@@ -189,17 +189,20 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
     param_rows, grad_rows = tuple(params), tuple(grads)
     bandwidths = param_rows[1]
     bumps, scratch = np.empty(n_kernels), np.empty(n_kernels)
+    floors = np.full(n_kernels, floor)
     low, finite = np.empty(n_kernels, dtype=bool), np.empty(params.shape, dtype=bool)
     for s, y, neg, two, rate in zip(range(1, steps + 1), targets[picks[1:]].tolist(),
                                     neg_sq, two_sq, rates):
         resid = _pair_gradients(neg, two, y, param_rows, grad_rows, bumps, scratch)
         trace[s] = resid * resid
         np.subtract(params, np.multiply(rate, grads, update), params)
-        n_low = np.count_nonzero(np.less(bandwidths, floor, low))
+        # a bool array's bytes are 0 and 1, so bytes methods count and search
+        # it without np.count_nonzero's Python wrapper
+        n_low = np.less(bandwidths, floors, low).tobytes().count(1)
         if n_low:
             clamps += n_low
-            np.maximum(bandwidths, floor, out=bandwidths)
-        if np.count_nonzero(np.isfinite(params, finite)) != params.size:
+            np.maximum(bandwidths, floors, out=bandwidths)
+        if 0 in np.isfinite(params, finite).tobytes():
             raise DivergentLearningError(
                 f"non-finite kernel parameters at descent step {s}; "
                 "lower the learning rates")

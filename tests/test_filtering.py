@@ -6,10 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from fbsdefilter.artifacts import write_csv
 from fbsdefilter.bayes import DENSITY_FLOOR
 from fbsdefilter.errors import ConfigurationError, FilterError
 from fbsdefilter.filtering import (
     FilterConfig,
+    FilterState,
     _metropolis,
     bootstrap_pf,
     initialize,
@@ -312,6 +314,21 @@ class TestRunFilter:
         particles = (tmp_path / "particles_step_0001.csv").read_text().splitlines()
         assert particles[0] == "index,x0,value"
         assert len(particles) == 31
+
+    def test_particle_table_has_the_bytes_of_the_row_writer(self, tmp_path):
+        # the column writer formats the cells write_csv formats, cell by cell:
+        # ids via str, floats via repr(float(.)), in storage order
+        rng = substream(12, "checkpoint-cells")
+        locations = rng.standard_normal((40, 2)) * np.logspace(-300, 300, 40)[:, None]
+        locations[:3] = [[-0.0, 0.0], [1e-320, -1.5], [np.pi, 2.0 ** 60]]
+        cloud = ParticleCloud(k=4, locations=locations, values=rng.random(40),
+                              stage="posterior", ids=rng.permutation(40) + 2 ** 40)
+        write_checkpoint(FilterState(k=4, cloud=cloud, density=None), tmp_path)
+        write_csv(tmp_path / "rows.csv", ["index", "x0", "x1", "value"],
+                  ([int(pid), *loc, val]
+                   for pid, loc, val in zip(cloud.ids, cloud.locations, cloud.values)))
+        assert (tmp_path / "particles_step_0004.csv").read_bytes() \
+            == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestOracleCompetitiveness:

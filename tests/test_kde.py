@@ -134,6 +134,16 @@ class TestEval:
             kd.eval(points)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("centers, n_kernels", [
+        (np.array([0.1, 0.2, 0.3]), 3),  # not one center in 3-d
+        (np.array([0.5]), 1),  # not one center in 1-d either
+    ])
+    def test_centers_other_than_l_by_dim_rejected(self, centers, n_kernels):
+        with pytest.raises(ConfigurationError, match=r"\(L, dim\)"):
+            KernelDensity(centers, np.ones(n_kernels), np.ones(n_kernels))
+
+
 class TestMass:
     def test_normalized_single_kernel(self):
         kd = KernelDensity([[0.0]], [1.0 / SQRT_PI], [1.0])

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from fbsdefilter.bayes import Likelihood, likelihood_density
 from fbsdefilter.errors import ConfigurationError
 from fbsdefilter.filtering import kalman_filter
 from fbsdefilter.harness import GridSettings, _run_jobs
-from fbsdefilter.model import get_model, simulate_truth
+from fbsdefilter.model import TimeGrid, get_model, simulate_truth
 from fbsdefilter.reference import grid_filter, normal_pdf, \
     prediction_estimator_variance, prediction_oracle_right_point
 
@@ -56,21 +58,63 @@ def _oracle_paths(name):
     return model, grid, [simulate_truth(model, grid, seed)[1] for seed in SEEDS]
 
 
+def _drift_from_dense(model, grid, obs):
+    """Largest change of oracle means and stds against the dense transition,
+    in oracle stds."""
+    banded = grid_filter(model, grid, obs)
+    means, stds = dense_grid_filter(model, grid, obs, banded.xs)
+    return max(np.max(np.abs(banded.means - means) / stds),
+               np.max(np.abs(banded.stds - stds) / stds))
+
+
+def _ramped_doublewell():
+    """The double well with a diffusion that grows in time: equal step
+    lengths then still have different transition variances."""
+    return dataclasses.replace(get_model("doublewell1d"), name="doublewell1d-ramp",
+                               diffusion=lambda t: np.array([[0.3 + 0.4 * t]]))
+
+
 @pytest.mark.parametrize("name", ["doublewell1d", "ou1d"])
 def test_banded_transition_matches_dense(name):
     # the terms the band drops are below exp(-72) of the kernel's peak, so
     # only the summation order differs: a few ulps, far below 1e-12
     model, grid, paths = _oracle_paths(name)
-
-    def drift(obs):
-        banded = grid_filter(model, grid, obs)
-        means, stds = dense_grid_filter(model, grid, obs, banded.xs)
-        return max(np.max(np.abs(banded.means - means) / stds),
-                   np.max(np.abs(banded.stds - stds) / stds))
-
-    drifts = _run_jobs([lambda obs=obs: drift(obs) for obs in paths],
-                       len(os.sched_getaffinity(0)))
+    drifts = _run_jobs([lambda obs=obs: _drift_from_dense(model, grid, obs)
+                        for obs in paths], len(os.sched_getaffinity(0)))
     assert max(drifts) < 1e-12, drifts
+
+
+def test_transition_is_rebuilt_whenever_step_or_variance_changes():
+    # the banded transition is reused while (dt, var) stays put: on a grid
+    # whose every step length differs, and with a time-dependent diffusion
+    # on the uniform grid, a stale transition would be far off the dense one
+    uneven = TimeGrid(np.concatenate([[0.0], np.cumsum(0.05 + 0.01 * np.arange(10))]))
+    assert np.unique(uneven.dts).size == uneven.steps
+    cases = [(get_model("doublewell1d"), uneven),
+             (_ramped_doublewell(), GridSettings().build())]
+    drifts = _run_jobs([lambda m=m, g=g: _drift_from_dense(m, g, simulate_truth(m, g, 0)[1])
+                        for m, g in cases], len(os.sched_getaffinity(0)))
+    assert max(drifts) < 1e-12, drifts
+
+
+def test_transition_memory_is_one_step_length():
+    # the slabs of a step length replace the previous ones: 40 distinct step
+    # lengths peak about as high as the uniform grid's few
+    model = get_model("doublewell1d")
+
+    def peak(grid):
+        obs = simulate_truth(model, grid, 0)[1]
+        tracemalloc.start()
+        try:
+            grid_filter(model, grid, obs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    uneven = TimeGrid(np.concatenate([[0.0], np.cumsum(0.09 + 5e-4 * np.arange(40))]))
+    assert np.unique(uneven.dts).size == 40
+    peaks = peak(uneven), peak(GridSettings().build())
+    assert peaks[0] < 2 * peaks[1], peaks
 
 
 @pytest.mark.parametrize("name", ["linear1d", "ou1d"])
