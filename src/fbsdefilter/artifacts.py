@@ -21,12 +21,16 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_csv_columns(path, header, columns) -> None:
-    """ASCII table from equal-length columns of Python ``int`` and ``float``
-    cells, such as ``ndarray.tolist()`` gives; every cell goes through
-    ``repr``, which writes the bytes ``write_csv`` writes for the same cells."""
+    """ASCII table from equal-length column lists of Python ``int`` and
+    ``float`` cells, such as ``ndarray.tolist()`` gives; every cell goes through
+    ``repr``, which writes the bytes ``write_csv`` writes for the same cells.
+
+    A list's ``repr`` is its cells' ``repr`` joined by ``", "`` in brackets,
+    so one call per column formats all of its cells."""
+    cells = [repr(column)[1:-1].split(", ") if column else [] for column in columns]
     with open(path, "w", encoding="ascii") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def write_json(path, payload) -> None:

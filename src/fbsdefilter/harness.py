@@ -411,7 +411,10 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _build_section(cls, data: dict, section: str):
+def _build_section(cls, data, section: str):
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"section {section!r} must be an object, "
+                                 f"got {type(data).__name__}")
     valid = {f for f in cls.__dataclass_fields__}
     for key in data:
         if key not in valid:
@@ -430,7 +433,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for section, cls in (("grid", GridSettings), ("filter", FilterSettings),
                          ("sweep", SweepSettings)):
         if section in kwargs:
-            kwargs[section] = _build_section(cls, dict(kwargs[section]), section)
+            kwargs[section] = _build_section(cls, kwargs[section], section)
     return ExperimentConfig(**kwargs)
 
 

@@ -7,6 +7,7 @@ particle storage order reproduces the same fit exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,10 @@ Array = np.ndarray
 # bandwidth gradient grows like the inverse cube and unguarded descent can
 # collapse a component.
 BANDWIDTH_FLOOR_FRAC = 1e-3
+# The exponent of ``np.power(bandwidths, 3)`` as a float array: the same
+# float64 power loop runs, without converting a Python int at every step.
+_THREE = np.array(3.0)
+_THREE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -73,27 +78,51 @@ def _select_center_rows(n: int, n_kernels: int, rng: np.random.Generator) -> Arr
     return np.sort(rows)  # stable order by particle index
 
 
-def _pair_gradients(neg_sq: Array, two_sq: Array, y: float, params: tuple,
-                    grads: tuple, bumps: Array, scratch: Array) -> float:
-    """Residual at one training pair; gradients go to ``grads``, bumps to ``bumps``.
+class _PairWork(NamedTuple):
+    """Work buffers of ``_pair_gradients``, with their row views taken once.
+
+    ``square`` and ``cube`` are the rows of the ``(2, L)`` array ``powers``,
+    ``bumps`` and ``ratio`` those of ``quotients``; ``scratch`` is ``(L,)``.
+    """
+
+    powers: Array
+    square: Array
+    cube: Array
+    quotients: Array
+    bumps: Array
+    ratio: Array
+    scratch: Array
+
+    @classmethod
+    def empty(cls, n_kernels: int) -> _PairWork:
+        powers, quotients = np.empty((2, n_kernels)), np.empty((2, n_kernels))
+        return cls(powers, *powers, quotients, *quotients, np.empty(n_kernels))
+
+
+def _pair_gradients(dists: Array, y: float, params: tuple, grads: tuple,
+                    work: _PairWork) -> float:
+    """Residual at one training pair; gradients go to ``grads``.
 
     ``params`` is ``(weights, bandwidths)`` and ``grads`` receives the weight
     gradient ``2 r bump`` and the bandwidth gradient, which multiplies it by
-    the weight and ``2 |x - center|^2 / bandwidth^3``.  ``neg_sq`` and
-    ``two_sq`` are minus and twice the squared distances of the pair to the
-    centers.  All arrays are ``(L,)``; ``scratch`` is a work buffer.
+    the weight and ``2 |x - center|^2 / bandwidth^3``.  ``dists`` is ``(2, L)``:
+    minus and twice the squared distances of the pair to the centers.  It is
+    divided by the square and the cube of the bandwidths in one call, which
+    leaves the bumps in ``work.bumps``.
     """
     weights, bandwidths = params
     grad_w, grad_b = grads
+    powers, square, cube, quotients, bumps, ratio, scratch = work
     # np.square and np.power(., 3) are what ``b ** 2`` and ``b ** 3`` call, so
     # the bumps equal ``_bumps``'s and the results match the unbuffered formulas
-    np.divide(neg_sq, np.square(bandwidths, scratch), bumps)
+    np.square(bandwidths, square)
+    np.power(bandwidths, _THREE, cube)
+    np.divide(dists, powers, quotients)
     np.exp(bumps, bumps)
     resid = float(np.add.reduce(np.multiply(weights, bumps, scratch))) - y
     np.multiply(bumps, 2.0 * resid, grad_w)
     np.multiply(grad_w, weights, grad_b)
-    np.divide(two_sq, np.power(bandwidths, 3, scratch), scratch)
-    np.multiply(grad_b, scratch, grad_b)
+    np.multiply(grad_b, ratio, grad_b)
     return resid
 
 
@@ -101,11 +130,10 @@ def _single_pair(kd: KernelDensity, x, y) -> tuple[float, Array, Array, Array, A
     """Residual, both gradients, squared distances and bumps at one pair."""
     sq = _sq_dists(np.asarray(x, dtype=float).ravel(), kd.centers)
     grads = (np.empty(kd.n_components), np.empty(kd.n_components))
-    bumps = np.empty(kd.n_components)
-    resid = _pair_gradients(-sq, 2.0 * sq, float(np.squeeze(y)),
-                            (kd.weights, kd.bandwidths), grads, bumps,
-                            np.empty(kd.n_components))
-    return resid, *grads, sq, bumps
+    work = _PairWork.empty(kd.n_components)
+    resid = _pair_gradients(np.stack([-sq, 2.0 * sq]), float(np.squeeze(y)),
+                            (kd.weights, kd.bandwidths), grads, work)
+    return resid, *grads, sq, work.bumps
 
 
 def loss_and_gradients(kd: KernelDensity, x, y: float) -> tuple[float, Array, Array]:
@@ -181,19 +209,24 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
     picks[1:] = rng.integers(n, size=steps)
     # centers do not move, so every picked pair's distances are known up front
     sq = _sq_dists(locations[picks[1:]], centers)
-    neg_sq, two_sq = -sq, 2.0 * sq
-    rates = np.stack(cfg.rate_at(np.arange(1, steps + 1)), axis=1)[:, :, None]
+    dists = np.empty((steps, 2, n_kernels))
+    np.negative(sq, dists[:, 0])
+    np.multiply(sq, 2.0, dists[:, 1])
+    # each step's rates spelled out over the (2, L) parameters: a (2, 1) row
+    # broadcast in the update costs more than the product itself
+    rates = np.empty_like(dists)
+    rates[...] = np.stack(cfg.rate_at(np.arange(1, steps + 1)), axis=1)[:, :, None]
     # weights over bandwidths; descent updates them in place
     params = np.stack([weights, bandwidths])
     grads, update = np.empty_like(params), np.empty_like(params)
     param_rows, grad_rows = tuple(params), tuple(grads)
     bandwidths = param_rows[1]
-    bumps, scratch = np.empty(n_kernels), np.empty(n_kernels)
+    work = _PairWork.empty(n_kernels)
     floors = np.full(n_kernels, floor)
     low, finite = np.empty(n_kernels, dtype=bool), np.empty(params.shape, dtype=bool)
-    for s, y, neg, two, rate in zip(range(1, steps + 1), targets[picks[1:]].tolist(),
-                                    neg_sq, two_sq, rates):
-        resid = _pair_gradients(neg, two, y, param_rows, grad_rows, bumps, scratch)
+    for s, y, pair, rate in zip(range(1, steps + 1), targets[picks[1:]].tolist(),
+                                dists, rates):
+        resid = _pair_gradients(pair, y, param_rows, grad_rows, work)
         trace[s] = resid * resid
         np.subtract(params, np.multiply(rate, grads, update), params)
         # a bool array's bytes are 0 and 1, so bytes methods count and search

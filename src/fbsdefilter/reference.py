@@ -32,10 +32,19 @@ GRID_BLOCK_ROWS = 128
 
 
 def normal_pdf(x: Array, mean: float | Array, var: float) -> Array:
-    # one expression, so numpy reuses its temporaries in place: the grid
-    # filter calls this on (block, band) slabs
-    return np.exp(-0.5 * (np.asarray(x, dtype=float) - mean) ** 2 / var) \
-        / math.sqrt(2.0 * math.pi * var)
+    """``exp(-0.5 (x - mean)^2 / var) / sqrt(2 pi var)``, broadcast.
+
+    Every operation after the subtraction runs in the subtraction's output,
+    in the formula's order, so a ``(block, band)`` slab of the grid filter is
+    allocated once.
+    """
+    out = np.asarray(np.subtract(np.asarray(x, dtype=float), mean))
+    np.square(out, out)
+    np.multiply(-0.5, out, out)
+    np.divide(out, var, out)
+    np.exp(out, out)
+    np.divide(out, math.sqrt(2.0 * math.pi * var), out)
+    return out
 
 
 def _require_scalar_state(model: StateSpaceModel, what: str) -> None:

@@ -9,6 +9,7 @@ would produce.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -21,9 +22,29 @@ _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 _ZERO_COUNTER.flags.writeable = False
 
 
+# Prefix hashers kept by _prefix_hasher: a step's streams share a few
+# prefixes, one per (seed, purpose, step).
+PREFIX_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=PREFIX_CACHE_SIZE)
+def _prefix_hasher(seed: int, purpose: str, leading: tuple):
+    """blake2b already fed the tag of an address up to its last index.
+
+    The tag is ``"{seed}|{purpose}|"`` followed by the indices joined by
+    ``"|"``; this is its part before the last index, ``leading`` being the
+    indices before it.  Callers copy it and must not update it.
+    """
+    tag = f"{int(seed)}|{purpose}|" + "".join([f"{int(i)}|" for i in leading])
+    return hashlib.blake2b(tag.encode("ascii"), digest_size=16)
+
+
 def _digest(seed: int, purpose: str, indices: tuple) -> bytes:
-    tag = f"{int(seed)}|{purpose}|" + "|".join([str(int(i)) for i in indices])
-    return hashlib.blake2b(tag.encode("ascii"), digest_size=16).digest()
+    if not indices:
+        return _prefix_hasher(seed, purpose, ()).digest()
+    hasher = _prefix_hasher(seed, purpose, indices[:-1]).copy()
+    hasher.update(b"%d" % int(indices[-1]))
+    return hasher.digest()
 
 
 class _Key(ISeedSequence):
@@ -32,19 +53,22 @@ class _Key(ISeedSequence):
     ``Philox(key=...)`` builds, and then ignores, an OS-entropy
     ``SeedSequence`` (most of its construction time); a seed sequence that
     returns the key gives the same generator, counter zero, without it.
+    The key is the digest's two native-order 64-bit words as a memoryview,
+    which Philox reads like the ``uint64`` array of ``np.frombuffer`` at a
+    fraction of that call's cost.
     """
 
-    def __init__(self, key: np.ndarray):
-        self.key = key
+    def __init__(self, digest: bytes):
+        self.key = memoryview(digest).cast("Q")
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+    def generate_state(self, n_words: int, dtype=np.uint32) -> memoryview:
         return self.key
 
 
 def substream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
     """Independent generator for the stream named (seed, purpose, *indices)."""
-    key = np.frombuffer(_digest(seed, purpose, indices), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_Key(key), counter=_ZERO_COUNTER))
+    key = _Key(_digest(seed, purpose, indices))
+    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
 
 
 def derive_seed(seed: int, purpose: str, *indices: int) -> int:

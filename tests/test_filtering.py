@@ -317,18 +317,23 @@ class TestRunFilter:
 
     def test_particle_table_has_the_bytes_of_the_row_writer(self, tmp_path):
         # the column writer formats the cells write_csv formats, cell by cell:
-        # ids via str, floats via repr(float(.)), in storage order
+        # ids via str, floats via repr(float(.)), in storage order; nan and
+        # infinities too, and tables of one row, whose column reprs are
+        # "[cell]", and of none
         rng = substream(12, "checkpoint-cells")
         locations = rng.standard_normal((40, 2)) * np.logspace(-300, 300, 40)[:, None]
-        locations[:3] = [[-0.0, 0.0], [1e-320, -1.5], [np.pi, 2.0 ** 60]]
-        cloud = ParticleCloud(k=4, locations=locations, values=rng.random(40),
-                              stage="posterior", ids=rng.permutation(40) + 2 ** 40)
-        write_checkpoint(FilterState(k=4, cloud=cloud, density=None), tmp_path)
-        write_csv(tmp_path / "rows.csv", ["index", "x0", "x1", "value"],
-                  ([int(pid), *loc, val]
-                   for pid, loc, val in zip(cloud.ids, cloud.locations, cloud.values)))
-        assert (tmp_path / "particles_step_0004.csv").read_bytes() \
-            == (tmp_path / "rows.csv").read_bytes()
+        locations[:5] = [[np.nan, np.inf], [-0.0, 0.0], [1e-320, -1.5],
+                         [np.pi, 2.0 ** 60], [-np.inf, np.nan]]
+        values, ids = rng.random(40), rng.permutation(40) + 2 ** 40
+        for n_rows in (40, 1, 0):
+            cloud = ParticleCloud(k=4, locations=locations[:n_rows], values=values[:n_rows],
+                                  stage="posterior", ids=ids[:n_rows])
+            write_checkpoint(FilterState(k=4, cloud=cloud, density=None), tmp_path)
+            write_csv(tmp_path / "rows.csv", ["index", "x0", "x1", "value"],
+                      ([int(pid), *loc, val]
+                       for pid, loc, val in zip(cloud.ids, cloud.locations, cloud.values)))
+            assert (tmp_path / "particles_step_0004.csv").read_bytes() \
+                == (tmp_path / "rows.csv").read_bytes(), n_rows
 
 
 class TestOracleCompetitiveness:

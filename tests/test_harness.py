@@ -193,6 +193,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match="section 'filter'"):
             config_from_dict({"filter": {"particles": 10}})
 
+    @pytest.mark.parametrize("section", [5, [["steps", 3]]], ids=["number", "pairs"])
+    def test_section_that_is_not_an_object_rejected(self, section):
+        # a list of pairs is not read as a mapping, and a number is no TypeError
+        with pytest.raises(ConfigurationError, match="section 'grid' must be an object"):
+            config_from_dict({"grid": section})
+
     def test_round_trip_through_json(self, tmp_path):
         cfg = ExperimentConfig(model="ou1d", seed=9,
                                grid=GridSettings(horizon=0.5, steps=5),
@@ -366,6 +372,16 @@ class TestCli:
             bad.write_text(text)
             assert cli_main(["filter", "--config", str(bad)]) == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"grid": 5}', '{"grid": [["steps", 3]]}'],
+                             ids=["number", "pairs"])
+    def test_section_that_is_not_an_object_exits_nonzero(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad3.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert cli_main(["filter", "--config", str(bad), "--out", str(out)]) == 2
+        assert "error: section 'grid' must be an object" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rates_below_replication_floor_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "rates"

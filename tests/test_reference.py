@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import tracemalloc
 
@@ -50,6 +51,25 @@ def dense_grid_filter(model, grid, observations, xs):
     seconds = np.trapezoid(posteriors * xs[None, :] ** 2, xs, axis=1)
     stds = np.sqrt(np.maximum(seconds - means ** 2, 0.0))
     return means, stds
+
+
+def one_expression_normal_pdf(x, mean, var):
+    """``normal_pdf`` as one numpy expression, the formula it must equal bit
+    for bit."""
+    return np.exp(-0.5 * (np.asarray(x, dtype=float) - mean) ** 2 / var) \
+        / math.sqrt(2.0 * math.pi * var)
+
+
+@pytest.mark.parametrize("cols", [1, 37, 700])
+def test_normal_pdf_equals_the_one_expression_formula_on_slabs(cols):
+    # the grid filter's slab shape: (block, 1) targets against (1, band) sources
+    rng = np.random.default_rng(cols)
+    targets = rng.standard_normal((128, 1)) * 4.0
+    sources = rng.standard_normal((1, cols)) * 4.0
+    for var in (1e-4, 0.09, 2.5):
+        got = normal_pdf(targets, sources, var)
+        assert got.shape == (128, cols)
+        assert got.tobytes() == one_expression_normal_pdf(targets, sources, var).tobytes()
 
 
 def _oracle_paths(name):

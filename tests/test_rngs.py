@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbsdefilter.rngs import _digest, derive_seed, substream
+from fbsdefilter.rngs import PREFIX_CACHE_SIZE, _digest, derive_seed, substream
 
 
 def _mixed_draws(rng: np.random.Generator) -> list:
@@ -47,3 +47,36 @@ def test_stream_addresses_match_recorded_values(address, digest, child_seed):
     seed, purpose, indices = address
     assert _digest(seed, purpose, indices).hex() == digest
     assert derive_seed(seed, purpose, *indices) == child_seed
+
+
+def _fresh_key_draws(seed, purpose, indices) -> bytes:
+    """Draws of the Philox keyed by the address digest, built without substream."""
+    key = np.frombuffer(_digest(seed, purpose, indices), dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return b"".join(np.asarray(d).tobytes() for d in _mixed_draws(rng))
+
+
+def _substream_draws(seed, purpose, indices) -> bytes:
+    return b"".join(np.asarray(d).tobytes()
+                    for d in _mixed_draws(substream(seed, purpose, *indices)))
+
+
+@pytest.mark.parametrize("address", [address for address, _, _ in GOLDEN_ADDRESSES],
+                         ids=["no-indices", "two-indices", "int64-indices"])
+def test_cached_prefix_gives_the_fresh_key_draws(address):
+    # twice: the second call takes the address's prefix from the cache
+    for _ in range(2):
+        assert _substream_draws(*address) == _fresh_key_draws(*address)
+
+
+def test_interleaved_addresses_beyond_the_cache_give_the_fresh_key_draws():
+    # forward and backward streams interleaved over permuted ids, as a filter
+    # step asks for them, across more prefixes (steps) than the cache holds,
+    # then the first steps again after their prefixes were evicted
+    ids = substream(0, "rng-cache-order").permutation(8).tolist()
+    steps = list(range(PREFIX_CACHE_SIZE + 5)) + [0, 1]
+    for k in steps:
+        for pid in ids:
+            for purpose in ("predict-forward", "predict-backward"):
+                address = (2 ** 33 + 1, purpose, (k, pid))
+                assert _substream_draws(*address) == _fresh_key_draws(*address), address
