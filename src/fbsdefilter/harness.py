@@ -16,7 +16,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -411,24 +411,43 @@ class ExperimentConfig:
         return asdict(self)
 
 
+# What a config value of each scalar field type must be; a bool is no number.
+_VALUE_KINDS = {int: "an integer", float: "a number", str: "a string",
+                tuple: "a list of numbers"}
+
+
+def _fits(value, kind) -> bool:
+    if kind is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, float) for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_fields(cls, data: dict, where: str) -> None:
+    """Refuse a field ``cls`` lacks, or a value its field's type does not fit."""
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        if key not in hints:
+            raise ConfigurationError(f"unknown field {key!r} {where}")
+        kind = hints[key]
+        if kind in _VALUE_KINDS and not _fits(value, kind):
+            raise ConfigurationError(f"field {key!r} {where} must be "
+                                     f"{_VALUE_KINDS[kind]}, got {value!r}")
+
+
 def _build_section(cls, data, section: str):
     if not isinstance(data, dict):
         raise ConfigurationError(f"section {section!r} must be an object, "
                                  f"got {type(data).__name__}")
-    valid = {f for f in cls.__dataclass_fields__}
-    for key in data:
-        if key not in valid:
-            raise ConfigurationError(f"unknown field {key!r} in section {section!r}")
+    _check_fields(cls, data, f"in section {section!r}")
     return cls(**data)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be an object")
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    for key in data:
-        if key not in known:
-            raise ConfigurationError(f"unknown field {key!r} at config root")
+    _check_fields(ExperimentConfig, data, "at config root")
     kwargs = dict(data)
     for section, cls in (("grid", GridSettings), ("filter", FilterSettings),
                          ("sweep", SweepSettings)):

@@ -6,8 +6,8 @@ particle storage order reproduces the same fit exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,62 +78,72 @@ def _select_center_rows(n: int, n_kernels: int, rng: np.random.Generator) -> Arr
     return np.sort(rows)  # stable order by particle index
 
 
-class _PairWork(NamedTuple):
-    """Work buffers of ``_pair_gradients``, with their row views taken once.
+def _descend(params: Array, grads: Array, pairs: Array, ys, rates: Array,
+             floors: Array, losses: list) -> tuple[float, int]:
+    """Descent steps over the pairs; the one place the pair update is computed.
 
-    ``square`` and ``cube`` are the rows of the ``(2, L)`` array ``powers``,
-    ``bumps`` and ``ratio`` those of ``quotients``; ``scratch`` is ``(L,)``.
-    """
-
-    powers: Array
-    square: Array
-    cube: Array
-    quotients: Array
-    bumps: Array
-    ratio: Array
-    scratch: Array
-
-    @classmethod
-    def empty(cls, n_kernels: int) -> _PairWork:
-        powers, quotients = np.empty((2, n_kernels)), np.empty((2, n_kernels))
-        return cls(powers, *powers, quotients, *quotients, np.empty(n_kernels))
-
-
-def _pair_gradients(dists: Array, y: float, params: tuple, grads: tuple,
-                    work: _PairWork) -> float:
-    """Residual at one training pair; gradients go to ``grads``.
-
-    ``params`` is ``(weights, bandwidths)`` and ``grads`` receives the weight
-    gradient ``2 r bump`` and the bandwidth gradient, which multiplies it by
-    the weight and ``2 |x - center|^2 / bandwidth^3``.  ``dists`` is ``(2, L)``:
-    minus and twice the squared distances of the pair to the centers.  It is
-    divided by the square and the cube of the bandwidths in one call, which
-    leaves the bumps in ``work.bumps``.
+    ``params`` is ``(2, L)``, weights over bandwidths, updated in place, and
+    ``grads`` receives each step's gradients: the weight gradient
+    ``2 r bump`` and the bandwidth gradient, which multiplies it by the weight
+    and ``2 |x - center|^2 / bandwidth^3``.  ``pairs`` holds each step's
+    ``(2, L)`` minus and twice the squared distances to the centers, divided
+    by the square and the cube of the bandwidths in one call; ``rates`` is
+    ``(steps, 2, L)``.  Bandwidths below ``floors`` are raised to it.  Each
+    step's squared residual is appended to ``losses``; returns the last
+    residual and the number of clamped bandwidths.  Nothing here checks
+    finiteness: a non-finite parameter stays non-finite through every later
+    step (the clamp turns only ``-inf`` into the floor), so the caller scans
+    once at the end.
     """
     weights, bandwidths = params
     grad_w, grad_b = grads
-    powers, square, cube, quotients, bumps, ratio, scratch = work
-    # np.square and np.power(., 3) are what ``b ** 2`` and ``b ** 3`` call, so
-    # the bumps equal ``_bumps``'s and the results match the unbuffered formulas
-    np.square(bandwidths, square)
-    np.power(bandwidths, _THREE, cube)
-    np.divide(dists, powers, quotients)
-    np.exp(bumps, bumps)
-    resid = float(np.add.reduce(np.multiply(weights, bumps, scratch))) - y
-    np.multiply(bumps, 2.0 * resid, grad_w)
-    np.multiply(grad_w, weights, grad_b)
-    np.multiply(grad_b, ratio, grad_b)
-    return resid
+    n_kernels = bandwidths.size
+    powers, quotients = np.empty((2, n_kernels)), np.empty((2, n_kernels))
+    band_sq, band_cube = powers
+    bumps, ratio = quotients
+    scratch, update = np.empty(n_kernels), np.empty_like(params)
+    two_resid = np.empty(())
+    low = np.empty(n_kernels, dtype=bool)
+    # the ufuncs as locals: a step makes twelve calls on arrays of L values,
+    # so two attribute lookups per call are a measurable share of its cost
+    square, power, divide, exp = np.square, np.power, np.divide, np.exp
+    multiply, subtract, less, add_reduce = np.multiply, np.subtract, np.less, np.add.reduce
+    resid, clamps = math.nan, 0
+    for y, pair, rate in zip(ys, pairs, rates):
+        # np.square and np.power(., 3) are what ``b ** 2`` and ``b ** 3`` call,
+        # so the bumps equal ``_bumps``'s and the results match the unbuffered
+        # formulas
+        square(bandwidths, band_sq)
+        power(bandwidths, _THREE, band_cube)
+        divide(pair, powers, quotients)
+        exp(bumps, bumps)
+        resid = float(add_reduce(multiply(weights, bumps, scratch))) - y
+        losses.append(resid * resid)
+        # a 0-d array skips the conversion of a Python float in the multiply
+        two_resid[()] = 2.0 * resid
+        multiply(bumps, two_resid, grad_w)
+        multiply(grad_w, weights, grad_b)
+        multiply(grad_b, ratio, grad_b)
+        subtract(params, multiply(rate, grads, update), params)
+        # a bool array's bytes are 0 and 1, so bytes.count counts it without
+        # np.count_nonzero's Python wrapper
+        n_low = less(bandwidths, floors, low).tobytes().count(1)
+        if n_low:
+            clamps += n_low
+            np.maximum(bandwidths, floors, out=bandwidths)
+    return resid, clamps
 
 
-def _single_pair(kd: KernelDensity, x, y) -> tuple[float, Array, Array, Array, Array]:
-    """Residual, both gradients, squared distances and bumps at one pair."""
+def _single_pair(kd: KernelDensity, x, y) -> tuple[float, Array, Array]:
+    """Residual and both gradients at one pair: one descent step at rate zero."""
     sq = _sq_dists(np.asarray(x, dtype=float).ravel(), kd.centers)
-    grads = (np.empty(kd.n_components), np.empty(kd.n_components))
-    work = _PairWork.empty(kd.n_components)
-    resid = _pair_gradients(np.stack([-sq, 2.0 * sq]), float(np.squeeze(y)),
-                            (kd.weights, kd.bandwidths), grads, work)
-    return resid, *grads, sq, work.bumps
+    params = np.stack([kd.weights, kd.bandwidths])
+    grads = np.empty_like(params)
+    no_floor = np.full(kd.n_components, -math.inf)
+    resid, _ = _descend(params, grads, np.stack([-sq, 2.0 * sq])[None],
+                        [float(np.squeeze(y))], np.zeros((1,) + params.shape),
+                        no_floor, [])
+    return resid, *grads
 
 
 def loss_and_gradients(kd: KernelDensity, x, y: float) -> tuple[float, Array, Array]:
@@ -142,7 +152,7 @@ def loss_and_gradients(kd: KernelDensity, x, y: float) -> tuple[float, Array, Ar
     Returns ``(loss, d loss / d weights, d loss / d bandwidths)`` with the
     bandwidth gradient carrying the factor ``2 |x - center|^2 / bandwidth^3``.
     """
-    resid, grad_w, grad_b, _, _ = _single_pair(kd, x, y)
+    resid, grad_w, grad_b = _single_pair(kd, x, y)
     return resid * resid, grad_w, grad_b
 
 
@@ -184,6 +194,8 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
     parameters, then updates weights and bandwidths simultaneously and clamps
     bandwidths at the floor.  The loop works in preallocated buffers, on
     distances to the centers computed for all picked pairs before it starts.
+    Finiteness is checked once, after the last step; when it fails, the fit
+    is replayed step by step to name the first step that diverged.
     """
     order = np.argsort(training.ids)
     locations = training.locations[order]
@@ -203,7 +215,6 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
     picks = np.full(steps + 1, -1, dtype=np.int64)
     trace[0] = full_loss(KernelDensity(centers, weights.copy(), bandwidths.copy()),
                          locations, targets)
-    clamps = 0
 
     # one call draws the same pair indices as one scalar draw per step
     picks[1:] = rng.integers(n, size=steps)
@@ -216,29 +227,26 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
     # broadcast in the update costs more than the product itself
     rates = np.empty_like(dists)
     rates[...] = np.stack(cfg.rate_at(np.arange(1, steps + 1)), axis=1)[:, :, None]
+    ys = targets[picks[1:]].tolist()
+    floors = np.full(n_kernels, floor)
     # weights over bandwidths; descent updates them in place
     params = np.stack([weights, bandwidths])
-    grads, update = np.empty_like(params), np.empty_like(params)
-    param_rows, grad_rows = tuple(params), tuple(grads)
-    bandwidths = param_rows[1]
-    work = _PairWork.empty(n_kernels)
-    floors = np.full(n_kernels, floor)
-    low, finite = np.empty(n_kernels, dtype=bool), np.empty(params.shape, dtype=bool)
-    for s, y, pair, rate in zip(range(1, steps + 1), targets[picks[1:]].tolist(),
-                                dists, rates):
-        resid = _pair_gradients(pair, y, param_rows, grad_rows, work)
-        trace[s] = resid * resid
-        np.subtract(params, np.multiply(rate, grads, update), params)
-        # a bool array's bytes are 0 and 1, so bytes methods count and search
-        # it without np.count_nonzero's Python wrapper
-        n_low = np.less(bandwidths, floors, low).tobytes().count(1)
-        if n_low:
-            clamps += n_low
-            np.maximum(bandwidths, floors, out=bandwidths)
-        if 0 in np.isfinite(params, finite).tobytes():
-            raise DivergentLearningError(
-                f"non-finite kernel parameters at descent step {s}; "
-                "lower the learning rates")
+    grads = np.empty_like(params)
+    losses = []
+    _, clamps = _descend(params, grads, dists, ys, rates, floors, losses)
+    if not np.isfinite(params).all():
+        # replay from the start, one step at a time, to name the first step
+        # that left a parameter non-finite; the first pass warned already
+        params[:] = weights, bandwidths
+        with np.errstate(all="ignore"):
+            for s in range(1, steps + 1):
+                _descend(params, grads, dists[s - 1:s], ys[s - 1:s],
+                         rates[s - 1:s], floors, [])
+                if not np.isfinite(params).all():
+                    raise DivergentLearningError(
+                        f"non-finite kernel parameters at descent step {s}; "
+                        "lower the learning rates")
+    trace[1:] = losses
 
     kd = KernelDensity(centers, params[0].copy(), params[1].copy())
     report = LossReport(
@@ -259,7 +267,8 @@ def hessian(kd: KernelDensity, x, y: float, asymptotic: bool = False) -> Array:
     regime where the mixture already interpolates the data), leaving exactly
     twice the outer product of the first-derivative factor vector.
     """
-    resid, _, _, sq, bumps = _single_pair(kd, x, y)
+    resid, _, _ = _single_pair(kd, x, y)
+    sq, bumps = _bumps(np.asarray(x, dtype=float).ravel(), kd.centers, kd.bandwidths)
     dist_factor = 2.0 * sq / kd.bandwidths ** 3
     bw_sens = kd.weights * bumps * dist_factor
 

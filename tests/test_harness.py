@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import time
 import warnings
 from dataclasses import replace
@@ -199,6 +200,24 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match="section 'grid' must be an object"):
             config_from_dict({"grid": section})
 
+    @pytest.mark.parametrize("data, message", [
+        ({"replications": "2"}, "field 'replications' at config root must be an integer"),
+        ({"sweep": {"values": 5}},
+         "field 'values' in section 'sweep' must be a list of numbers"),
+        ({"filter": {"n_particles": "400"}},
+         "field 'n_particles' in section 'filter' must be an integer"),
+        ({"grid": {"steps": 2.5}}, "field 'steps' in section 'grid' must be an integer"),
+        ({"threads": True}, "field 'threads' at config root must be an integer"),
+    ], ids=["string_replications", "number_sweep_values", "string_particle_count",
+            "fractional_grid_steps", "bool_threads"])
+    def test_wrong_typed_value_rejected_with_location(self, data, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            config_from_dict(data)
+
+    def test_integer_accepted_where_a_number_is_expected(self):
+        cfg = config_from_dict({"grid": {"horizon": 2}, "sweep": {"values": [1, 2.5]}})
+        assert cfg.grid.horizon == 2 and list(cfg.sweep.values) == [1, 2.5]
+
     def test_round_trip_through_json(self, tmp_path):
         cfg = ExperimentConfig(model="ou1d", seed=9,
                                grid=GridSettings(horizon=0.5, steps=5),
@@ -381,6 +400,15 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["filter", "--config", str(bad), "--out", str(out)]) == 2
         assert "error: section 'grid' must be an object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wrong_typed_value_exits_nonzero(self, tmp_path, capsys):
+        bad = tmp_path / "bad4.json"
+        bad.write_text('{"filter": {"n_particles": "400"}}')
+        out = tmp_path / "out"
+        assert cli_main(["filter", "--config", str(bad), "--out", str(out)]) == 2
+        assert ("error: field 'n_particles' in section 'filter' must be an integer"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_rates_below_replication_floor_exits_nonzero(self, tmp_path, capsys):

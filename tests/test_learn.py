@@ -217,20 +217,26 @@ class TestSgdFit:
         scalar = [int(replay.integers(n)) for _ in range(steps)]
         assert report.sample_indices[1:].tolist() == scalar
 
-    @pytest.mark.parametrize("dim, rate_b, expect_clamps", [
-        (1, 0.02, False), (2, 0.02, False), (1, 20.0, True),
+    # the last two are the fit shapes of the benchmark workloads
+    # (experiment-doublewell and crit7-linear1d)
+    @pytest.mark.parametrize("dim, rate_b, expect_clamps, n, n_kernels, steps", [
+        (1, 0.02, False, 200, 12, 1500), (2, 0.02, False, 200, 12, 1500),
+        (1, 20.0, True, 200, 12, 1500),
+        (1, 0.02, False, 400, 24, 2000), (1, 0.02, False, 2000, 32, 4000),
     ], ids=["1-uniform_subsample-0.02-False", "2-uniform_subsample-0.02-False",
-            "1-uniform_subsample-20.0-True"])
-    def test_buffered_loop_equals_reference_loop(self, dim, rate_b, expect_clamps):
+            "1-uniform_subsample-20.0-True", "1-n400-L24-2000steps",
+            "1-n2000-L32-4000steps"])
+    def test_buffered_loop_equals_reference_loop(self, dim, rate_b, expect_clamps,
+                                                 n, n_kernels, steps):
         rng = substream(23, "fit-ref", dim)
-        n = 200
         locations = rng.standard_normal((n, dim))
         values = np.exp(-(locations * locations).sum(axis=1)) + 0.05
         cloud = ParticleCloud(k=1, locations=locations, values=values,
                               stage="posterior", ids=rng.permutation(n))
-        cfg = TrainConfig(sgd_steps=1500, rate_bandwidths=rate_b)
-        kd, report = sgd_fit(cloud, 12, cfg, substream(24, "fit-ref-run", dim))
-        ref_kd, ref = reference_sgd_fit(cloud, 12, cfg, substream(24, "fit-ref-run", dim))
+        cfg = TrainConfig(sgd_steps=steps, rate_bandwidths=rate_b)
+        kd, report = sgd_fit(cloud, n_kernels, cfg, substream(24, "fit-ref-run", dim))
+        ref_kd, ref = reference_sgd_fit(cloud, n_kernels, cfg,
+                                        substream(24, "fit-ref-run", dim))
         for name in ("centers", "weights", "bandwidths"):
             assert getattr(kd, name).tobytes() == getattr(ref_kd, name).tobytes(), name
         assert report.trace.tobytes() == ref.trace.tobytes()
@@ -257,6 +263,27 @@ class TestSgdFit:
         with pytest.raises(DivergentLearningError) as ref:
             reference_sgd_fit(cloud, 10, cfg, substream(17, "fit-diverge-run"))
         assert str(ours.value) == str(ref.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("steps", [100, 14],
+                             ids=["bandwidth_overflow", "divergence_on_last_step"])
+    def test_bandwidth_overflow_raises_with_reference_message(self, steps):
+        # targets far above the initial mixture make the residual negative, so
+        # the bandwidth gradient is negative; at a bandwidth rate of 1e308 one
+        # bandwidth overflows to +inf (at step 14 of both fits) while the
+        # weights and every later residual stay finite, since an infinite
+        # bandwidth gives a bump of one and a bandwidth gradient of zero
+        rng = substream(8, "fit-bw-overflow")
+        cloud = ParticleCloud(k=1, locations=rng.standard_normal((60, 1)),
+                              values=30.0 * (np.abs(rng.standard_normal(60)) + 0.1),
+                              stage="posterior")
+        cfg = TrainConfig(sgd_steps=steps, rate_bandwidths=1e308)
+        with pytest.raises(DivergentLearningError) as ours:
+            sgd_fit(cloud, 10, cfg, substream(108, "fit-bw-overflow-run"))
+        with pytest.raises(DivergentLearningError) as ref:
+            reference_sgd_fit(cloud, 10, cfg, substream(108, "fit-bw-overflow-run"))
+        assert str(ours.value) == str(ref.value)
+        assert "descent step 14;" in str(ref.value)
 
 
 class TestHessian:
