@@ -16,7 +16,7 @@ class ModelBlowUpError(FilterError, FloatingPointError):
 
 
 class ContractionError(FilterError, ArithmeticError):
-    """Fixed-point iteration left its contraction region; reduce the step size."""
+    """A particle is outside the fixed point's contraction region; reduce the step size."""
 
 
 class DegenerateObservationError(FilterError, ArithmeticError):

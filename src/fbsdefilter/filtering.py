@@ -83,11 +83,11 @@ def initialize(model: StateSpaceModel, cfg: FilterConfig) -> FilterState:
     """Draw the starting cloud from the initial law; density is exact there.
 
     The model's drift divergence is cross-checked before any draw, and so is
-    the contraction of the fixed-point recursion when the variant iterates.
+    a linear model's bound on the step of the right-point recursion
+    (``check_contraction``).
     """
     check_drift_divergence(model)
-    if cfg.predict.variant == "right_point_fixed_point":
-        check_contraction(model, cfg.grid.max_dt, cfg.seed)
+    check_contraction(model, cfg.predict, cfg.grid.max_dt)
     locations = model.initial_sampler(cfg.n_particles, substream(cfg.seed, "init"))
     locations = np.asarray(locations, dtype=float)
     if locations.shape != (cfg.n_particles, model.dim_state):

@@ -148,15 +148,19 @@ def _init_worker(jobs: list[Callable[[], object]]) -> None:
     _worker_jobs = jobs
 
 
-def _run_worker_job(index: int):
-    """One job in a worker: its result or error, and the warnings it raised."""
+def _run_job(job: Callable[[], object]):
+    """One job: its result or error, and the warnings it raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result, error = _worker_jobs[index](), None
-        except Exception as exc:  # raised again in the caller, in job order
+            result, error = job(), None
+        except Exception as exc:  # raised again by the caller, in job order
             result, error = None, (exc, traceback.format_exc())
     return result, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _run_worker_job(index: int):
+    return _run_job(_worker_jobs[index])
 
 
 def _reemit(records) -> None:
@@ -177,21 +181,25 @@ def _run_jobs(jobs: list[Callable[[], object]], workers: int) -> list:
     Otherwise ``min(workers, len(jobs))`` forked processes run them.  They are
     forked, not spawned, so that they inherit ``jobs``: jobs are closures over
     models, which cannot be pickled; only job indices go out and results come
-    back.  Once the pool has finished, every job's warnings are re-emitted
-    here in job order, and the error of the lowest-index failed job is raised.
+    back.  Either way every job runs; then every job's warnings are re-emitted
+    here in job order, and the error of the lowest-index failed job is raised,
+    so a failing batch leaves the same side effects for any worker count.
     """
     workers = min(workers, len(jobs))
     if workers <= 1:
-        return [job() for job in jobs]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker, initargs=(jobs,)) as pool:
-        outcomes = list(pool.map(_run_worker_job, range(len(jobs))))
+        outcomes = [_run_job(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker, initargs=(jobs,)) as pool:
+            outcomes = list(pool.map(_run_worker_job, range(len(jobs))))
     for _result, _error, records in outcomes:
         _reemit(records)
     for _result, error, _records in outcomes:
         if error is not None:
-            exc, worker_traceback = error
-            raise exc from RuntimeError(f"in a worker process:\n{worker_traceback}")
+            exc, job_traceback = error
+            if workers <= 1:
+                raise exc
+            raise exc from RuntimeError(f"in a worker process:\n{job_traceback}")
     return [result for result, _error, _records in outcomes]
 
 

@@ -174,13 +174,10 @@ def full_gradient_norm(kd: KernelDensity, locations: Array, targets: Array) -> f
 
 def _initial_bandwidth(centers: Array, locations: Array) -> float:
     if centers.shape[0] >= 2:
-        diff = centers[:, None, :] - centers[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        vals = dist[np.triu_indices(centers.shape[0], k=1)]
+        sq = _sq_dists(centers, centers)[np.triu_indices(centers.shape[0], k=1)]
     else:
-        diff = locations - centers[0]
-        vals = np.sqrt((diff * diff).sum(axis=-1))
-    width = float(np.median(vals))
+        sq = _sq_dists(locations, centers).ravel()
+    width = float(np.median(np.sqrt(sq)))
     return width if width > 0 else 1.0
 
 

@@ -9,7 +9,6 @@ workers.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,32 +21,6 @@ from .rngs import substream
 Array = np.ndarray
 
 VARIANTS = ("right_point_fixed_point", "left_point")
-
-# Iterates beyond this multiple of the data scale mean the drift-divergence
-# correction is not a contraction at the configured step size.
-DIVERGENCE_FACTOR = 1e6
-
-
-def check_contraction(model: StateSpaceModel, dt: float, seed: int) -> None:
-    """Guard the damped fixed-point recursion of ``right_point_fixed_point``.
-
-    A linear model's divergence is the constant trace of its drift matrix,
-    so there the check is exact and hard (raises); otherwise the bound is
-    estimated from initial-law samples and violations only warn.
-    """
-    if model.linear is not None:
-        bound = abs(float(np.trace(model.linear.drift_matrix)))
-        if dt * bound >= 0.5:
-            raise ConfigurationError(
-                f"dt * divergence bound = {dt * bound:.3g} >= 0.5; "
-                "shrink the time step")
-        return
-    probe = model.initial_sampler(256, substream(seed, "contraction-probe"))
-    est = float(np.max(np.abs(model.drift_divergence(probe))))
-    if dt * est >= 0.5:
-        warnings.warn(
-            f"estimated dt * divergence {dt * est:.3g} >= 0.5; the prediction "
-            "fixed point may not contract", stacklevel=2)
 
 
 @dataclass
@@ -100,21 +73,35 @@ class ParticleCloud:
 class PredictConfig:
     """Sample count and discretization variant of the prediction stage.
 
-    ``decouple_mc=False`` follows the published recipe, feeding the running
-    average over the first m reverse samples into iterate m.
-    ``decouple_mc=True`` freezes the full-sample average first and then
-    iterates, which is the estimator the convergence rates describe.
+    ``right_point_fixed_point`` follows the published recipe, feeding the
+    running average over the first m reverse samples into iterate m.
+    ``left_point`` takes one explicit step.
     """
 
     mc_samples: int
     variant: str = "right_point_fixed_point"
-    decouple_mc: bool = False
 
     def __post_init__(self):
         if self.mc_samples < 1:
             raise ConfigurationError("mc_samples must be >= 1")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"variant must be one of {VARIANTS}")
+
+
+def check_contraction(model: StateSpaceModel, cfg: PredictConfig, dt: float) -> None:
+    """Refuse a step too large for the right-point recursion of a linear model.
+
+    Only ``right_point_fixed_point`` iterates.  A linear model's divergence is
+    the constant trace of its drift matrix, so there the bound is exact and
+    checked before any work starts.  Any other model is checked particle by
+    particle where the recursion runs (``ContractionError``).
+    """
+    if cfg.variant != "right_point_fixed_point" or model.linear is None:
+        return
+    bound = abs(float(np.trace(model.linear.drift_matrix)))
+    if dt * bound >= 0.5:
+        raise ConfigurationError(
+            f"dt * divergence bound = {dt * bound:.3g} >= 0.5; shrink the time step")
 
 
 def _density_values(f: Callable[[Array], Array], points: Array, ids: Array,
@@ -163,21 +150,18 @@ def _prior_values(f: Callable[[Array], Array], model: StateSpaceModel, t_k: floa
         div = np.asarray(model.drift_divergence(flat), dtype=float).reshape(n, m)
         return vals.mean(axis=1) - (div * vals).mean(axis=1) * dt
 
-    # right point: damped fixed-point recursion started at f(anchor)
+    # right point: damped fixed-point recursion started at f(anchor), which
+    # contracts exactly where |div * dt| < 1
     y = _density_values(f, anchors, ids, "forward locations", where)
     div = np.asarray(model.drift_divergence(anchors), dtype=float)
-    if cfg.decouple_mc:
-        prefix = np.broadcast_to(vals.mean(axis=1)[:, None], (n, m))
-    else:
-        prefix = np.cumsum(vals, axis=1) / np.arange(1, m + 1)
-    cap = DIVERGENCE_FACTOR * max(float(np.max(np.abs(y))),
-                                  float(np.max(np.abs(vals))), 1e-300)
+    bad = np.flatnonzero(~(np.abs(div * dt) < 1.0))
+    if bad.size:
+        raise ContractionError(
+            f"fixed-point iteration diverged (|divergence * dt| >= 1) at particle "
+            f"ids {ids[bad][:8].tolist()}{where}; reduce the step size")
+    prefix = np.cumsum(vals, axis=1) / np.arange(1, m + 1)
     for j in range(m):
         y = prefix[:, j] - div * y * dt
-        if np.any(np.abs(y) > cap):
-            raise ContractionError(
-                "fixed-point iteration diverged (divergence * dt too large); "
-                "reduce the step size")
     return y
 
 

@@ -82,22 +82,19 @@ class TestInitialize:
         with pytest.raises(ConfigurationError, match="shrink"):
             initialize(model, small_config(grid))
         # the explicit variant does not iterate, so nothing is guarded: the
-        # same step, and linear1d at dt * 0.5 = 0.5, start without a warning
+        # same step, and linear1d at dt * 0.5 = 0.5, start without a warning;
+        # a nonlinear model's divergence is checked per particle in the
+        # prediction, so doublewell1d at dt = 2 starts under either variant
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             initialize(model, small_config(grid, variant="left_point"))
             initialize(get_model("linear1d"),
                        small_config(TimeGrid.uniform(horizon=4.0, steps=4),
                                     variant="left_point"))
-
-    def test_contraction_guard_warns_when_only_estimable(self):
-        model = get_model("doublewell1d")  # unbounded divergence
-        grid = TimeGrid.uniform(horizon=8.0, steps=4)
-        with pytest.warns(UserWarning, match="contract"):
-            initialize(model, small_config(grid))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            initialize(model, small_config(grid, variant="left_point"))
+            for variant in ("right_point_fixed_point", "left_point"):
+                initialize(get_model("doublewell1d"),
+                           small_config(TimeGrid.uniform(horizon=8.0, steps=4),
+                                        variant=variant))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_wrong_divergence_rejected_before_any_draw(self):

@@ -314,7 +314,7 @@ def test_pooled_job_warnings_reach_the_caller():
 @pytest.fixture
 def steep_decay_model():
     """A registered model whose divergence -40 scales each right-point iterate
-    by 40 dt; it is not linear, so the contraction guard only warns."""
+    by 40 dt; it is not linear, so the first prediction step refuses it."""
     register_model("steep-decay", lambda: make_model_1d(
         drift=lambda x: -40.0 * np.asarray(x, dtype=float),
         divergence=lambda x: np.full(np.asarray(x).shape[:-1], -40.0)))
@@ -322,7 +322,6 @@ def steep_decay_model():
     MODEL_ZOO.pop("steep-decay")
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_pooled_job_error_is_raised_as_in_a_serial_run(tmp_path, steep_decay_model):
     messages = []
     for threads in (1, 2):
@@ -337,6 +336,12 @@ def test_pooled_job_error_is_raised_as_in_a_serial_run(tmp_path, steep_decay_mod
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("step 1: fixed-point iteration diverged")
+    # every replication ran to its failure under either worker count
+    files = [sorted(p.relative_to(tmp_path / f"threads{threads}").as_posix()
+                    for p in (tmp_path / f"threads{threads}").rglob("*"))
+             for threads in (1, 2)]
+    assert files[0] == files[1]
+    assert "rep_001/particles_step_0000.csv" in files[0]
 
     def failing(text):
         def job():

@@ -126,6 +126,48 @@ def test_generators_are_built_only_in_rngs():
     assert offenders == []
 
 
+def _imported_names(tree: ast.AST) -> dict[str, int]:
+    """Names bound by the imports of a module, with the line of each."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update({(a.asname or a.name).split(".")[0]: node.lineno
+                        for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update({a.asname or a.name: node.lineno for a in node.names})
+    return out
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to export; every other module reads what it imports
+    package = Path(fbsdefilter.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            offenders += [f"{path.name}:{line}: {name}"
+                          for name, line in _imported_names(tree).items()
+                          if name not in used]
+    assert offenders == []
+
+
+def test_only_predict_compares_the_variant():
+    # the prediction stage owns its discretization switch; a caller passes
+    # the PredictConfig on instead of branching on the variant's name
+    package = Path(fbsdefilter.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name != "predict.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offenders += [
+                f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Compare)
+                and any(isinstance(side, ast.Attribute) and side.attr == "variant"
+                        for side in (node.left, *node.comparators))]
+    assert offenders == []
+
+
 def _fenced_blocks(text: str) -> list[tuple[str, str]]:
     """(language, body) of every fenced code block in a markdown text."""
     return re.findall(r"^```(\w*)\n(.*?)^```", text, flags=re.M | re.S)

@@ -16,6 +16,7 @@ from fbsdefilter.model import TimeGrid, backward_sample, euler_step, get_model
 from fbsdefilter.predict import (
     ParticleCloud,
     PredictConfig,
+    _prior_values,
     predict_cloud,
     predict_value,
 )
@@ -101,10 +102,6 @@ class TestRightPoint:
         f = gauss_density(0.2, 0.8)
         x, dt = np.array([0.5]), 0.1
         want = reverse_mean(f, model, 0.1, x, dt, 32, substream(4, "rp-zero-div"))
-        decoupled = predict_value(
-            f, model, 0.1, x, dt, PredictConfig(mc_samples=32, decouple_mc=True),
-            substream(4, "rp-zero-div"))
-        assert decoupled == want  # bitwise, identical stream and accumulation
         coupled = predict_value(
             f, model, 0.1, x, dt, PredictConfig(mc_samples=32),
             substream(4, "rp-zero-div"))
@@ -119,7 +116,7 @@ class TestRightPoint:
         dt = 0.1
         values = [predict_value(
             const, model, 0.1, np.array([0.0]), dt,
-            PredictConfig(mc_samples=m, decouple_mc=True), substream(5, "rp-geo", m))
+            PredictConfig(mc_samples=m), substream(5, "rp-geo", m))
             for m in (1, 2, 3, 12)]
         assert values[0] == pytest.approx(0.9, abs=1e-15)
         assert values[1] == pytest.approx(0.91, abs=1e-15)
@@ -133,7 +130,7 @@ class TestRightPoint:
         const = lambda pts: np.full(len(pts), 0.7)
         vals = [predict_value(
             const, model, 0.1, np.array([0.0]), 0.1,
-            PredictConfig(mc_samples=m, decouple_mc=True), substream(6, "rp-ratio", m))
+            PredictConfig(mc_samples=m), substream(6, "rp-ratio", m))
             for m in range(1, 11)]
         y0 = 0.7
         diff1 = abs(vals[0] - y0)
@@ -157,8 +154,35 @@ class TestRightPoint:
         const = lambda pts: np.ones(len(pts))
         with pytest.raises(ContractionError, match="step size"):
             predict_value(const, model, 0.1, np.array([0.0]), 0.1,
-                          PredictConfig(mc_samples=64, decouple_mc=True),
-                          substream(8, "rp-diverge"))
+                          PredictConfig(mc_samples=64), substream(8, "rp-diverge"))
+
+    def test_cloud_just_inside_the_contraction_region_keeps_the_capped_loop_bits(self):
+        # the recursion as it ran under the former growth cap (iterates beyond
+        # 1e6 times the data scale raised); the check before the loop must
+        # leave the values of a cloud it lets through bit for bit unchanged
+        def capped_loop(vals, y, div, dt):
+            m = vals.shape[1]
+            prefix = np.cumsum(vals, axis=1) / np.arange(1, m + 1)
+            cap = 1e6 * max(float(np.max(np.abs(y))), float(np.max(np.abs(vals))), 1e-300)
+            for j in range(m):
+                y = prefix[:, j] - div * y * dt
+                assert not np.any(np.abs(y) > cap)
+            return y
+
+        model = get_model("doublewell1d")  # divergence 1 - 3 x^2
+        dt, t_k, m = 0.1, 0.1, 64
+        edge = math.sqrt(11.0 / 3.0) * (1.0 - 1e-7)  # |div * dt| just below 1
+        anchors = np.array([[-edge], [-1.0], [0.0], [0.5], [1.2], [edge]])
+        div = model.drift_divergence(anchors)
+        assert 0.99999 < np.max(np.abs(div * dt)) < 1.0
+        noise = substream(12, "rp-capped").standard_normal((anchors.shape[0], m, 1))
+        f = gauss_density(0.3, 1.5)
+        ids = np.arange(anchors.shape[0])
+        got = _prior_values(f, model, t_k, anchors, dt, noise, PredictConfig(mc_samples=m), ids)
+        points = backward_sample(model, t_k, anchors[:, None, :], dt, math.sqrt(dt) * noise)
+        vals = f(points.reshape(-1, 1)).reshape(anchors.shape[0], m)
+        want = capped_loop(vals, f(anchors), div, dt)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLeftPoint:
@@ -309,11 +333,11 @@ class TestPredictCloud:
         assert np.mean(errs) <= 3.0 * np.mean(bounds) / m
 
     def test_one_step_right_point_values_against_quadrature(self):
-        # with decouple_mc the recursion y <- mean - div dt y starts from
-        # prev(x) and contracts by |div dt| = 0.1 per iterate, so after M
-        # iterates it sits at mean / (1 + div dt), where mean averages prev
-        # over M reverse samples: the squared error averages to
-        # Var prev(Z) / (M (1 + div dt)^2)
+        # the recursion y <- prefix_j - div dt y starts from prev(x) and
+        # contracts by |div dt| = 0.1 per iterate, so after M iterates it sits
+        # near mean / (1 + div dt), where mean averages prev over M reverse
+        # samples (the early, noisier prefixes are damped by powers of 0.1):
+        # the squared error averages to Var prev(Z) / (M (1 + div dt)^2)
         model = get_model("ou1d")
         grid = self._grid()
         prev = model.initial_density
@@ -321,7 +345,7 @@ class TestPredictCloud:
         locations = model.initial_sampler(n, substream(17, "cloud-quad-right-init"))
         cloud = ParticleCloud(k=0, locations=locations,
                               values=prev(locations), stage="posterior")
-        cfg = PredictConfig(mc_samples=m, decouple_mc=True)
+        cfg = PredictConfig(mc_samples=m)
         out = predict_cloud(cloud, prev, model, grid, 1, cfg, seed=78)
         dt = grid.dt(1)
         var = float(model.diffusion(grid.time(1))[0, 0]) ** 2 * dt
@@ -375,6 +399,26 @@ class TestPredictCloud:
         with pytest.raises(FilterError, match=r"reverse samples of particle ids \[2\] at step 1"):
             predict_cloud(cloud, nan_in_last_block, model, self._grid(), 1,
                           PredictConfig(mc_samples=4, variant="left_point"), seed=0)
+
+    def test_non_contracting_particles_are_named(self):
+        # a nonlinear model, so nothing is refused before the step; the
+        # recursion contracts where |div * dt| < 1, and a NaN divergence is
+        # outside that region too
+        def divergence(x):
+            x = np.asarray(x, dtype=float)[..., 0]
+            return np.where(x > 5.0, 10.0, np.where(x < -5.0, np.nan, 1.0))
+
+        model = make_model_1d(drift=lambda x: 0.0 * np.asarray(x, dtype=float),
+                              divergence=divergence, sigma=0.0)
+        assert model.linear is None and self._grid().dt(1) * 10.0 == 1.0
+        for locations, ids, named in (
+                ([[0.0], [10.0], [-10.0], [0.5]], [7, 3, 11, 5], r"\[3, 11\]"),
+                ([[-10.0], [0.0]], [4, 9], r"\[4\]")):
+            with pytest.raises(ContractionError,
+                               match=rf"^fixed-point iteration diverged .* particle ids "
+                                     rf"{named} at step 1; reduce the step size$"):
+                predict_cloud(self._cloud(locations, ids), gauss_density(0.0, 1.0), model,
+                              self._grid(), 1, PredictConfig(mc_samples=4), seed=0)
 
     def test_nonfinite_forward_state_names_particle(self):
         model = make_model_1d(drift=lambda x: np.where(np.asarray(x) > 5.0, np.inf, 0.0))
