@@ -29,6 +29,11 @@ GRID_NODES, GRID_SPAN = 4096, 8.0
 # target nodes per slab of its banded transition
 BAND_SDS = 12.0
 GRID_BLOCK_ROWS = 128
+# Relative tolerance within which a step's (dt, var) reuses grid_filter's
+# held transition.  Knot rounding alone moves a uniform grid's step lengths
+# by a few ulps (about 1e-15 relative), far below it; any step length or
+# variance a model or grid sets on purpose differs by far more.
+TRANSITION_RTOL = 1e-12
 
 
 def normal_pdf(x: Array, mean: float | Array, var: float) -> Array:
@@ -193,12 +198,14 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid,
     as slabs of ``GRID_BLOCK_ROWS`` target nodes (see ``_transition_slabs``);
     the dropped terms are below exp(-72) of the kernel's peak.  The slabs
     depend on the step only through ``(dt, var)``, since the drift takes no
-    time, so they are built when that pair differs from the previous step's
-    and reused otherwise; a new pair replaces them, so one step length's
-    slabs are held at a time (15 MB for the double well on the default
-    grid).  Each slab is applied to the weighted posterior as a BLAS
-    matrix-vector product.  Against the full transition, means and stds move
-    by a few ulps of the oracle std.
+    time.  They are kept while a step's pair agrees with the pair they were
+    built for to within ``TRANSITION_RTOL`` relative, which absorbs the knot
+    rounding of a uniform grid, so its slabs are built once; any other pair
+    replaces them, so one step length's slabs are held at a time (15 MB for
+    the double well on the default grid).  Each slab is applied to the
+    weighted posterior as a BLAS matrix-vector product.  Against the full
+    transition at each step's own ``(dt, var)``, means and stds move by a
+    few ulps of the oracle std.
     """
     _require_scalar_state(model, "grid filter")
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
@@ -224,15 +231,16 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid,
     posteriors = np.empty((grid.steps + 1, GRID_NODES))
     posteriors[0] = post
     prior = np.empty(GRID_NODES)
-    key, slabs = None, []
+    built_dt, built_var, slabs = math.nan, math.nan, []
     for k in range(1, grid.steps + 1):
         dt = grid.dt(k)
         sig = float(np.asarray(model.diffusion(grid.time(k - 1)))[0, 0])
         var = sig * sig * dt
-        if (dt, var) != key:
+        if not (math.isclose(dt, built_dt, rel_tol=TRANSITION_RTOL)
+                and math.isclose(var, built_var, rel_tol=TRANSITION_RTOL)):
             slabs = []  # drop the previous step length's slabs before building
             slabs = _transition_slabs(model, xs, dt, var)
-            key = (dt, var)
+            built_dt, built_var = dt, var
         weighted = post * weight
         for start, stop, cols, kernel in slabs:
             prior[start:stop] = kernel @ weighted[cols]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbsdefilter import kde
 from fbsdefilter.errors import ConfigurationError, EmptyDensityError
 from fbsdefilter.kde import (
     EVAL_BLOCK_ROWS,
@@ -91,21 +92,50 @@ class TestEval:
         second = KernelDensity(centers, [b, -b], bws).eval(xs)
         np.testing.assert_allclose(combined, first + second, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
-    def test_blocked_eval_equals_one_shot_formula(self, dim):
-        rng = substream(31, "eval-blocks", dim)
-        kd = KernelDensity(rng.standard_normal((32, dim)), rng.uniform(-1.0, 1.0, 32),
-                           rng.uniform(0.3, 2.0, 32))
-        x = 2.0 * rng.standard_normal((2 * EVAL_BLOCK_ROWS + 3, dim))
-        # every point against every center at once, one (n, L) bump array
+    @staticmethod
+    def _one_shot(kd, x):
+        """Every point against every center at once, one (n, L) bump array
+        summed along its rows."""
         diff = x[:, None, :] - kd.centers
         sq = (diff * diff).sum(axis=-1)
-        one_shot = (np.exp(-sq / kd.bandwidths ** 2) * kd.weights).sum(axis=-1)
-        vals = kd.eval(x)
-        assert vals.shape == (x.shape[0],)
-        assert vals.tobytes() == one_shot.tobytes()
-        # one point is the batch of one: same bits as its row in the batch
-        assert kd.eval(x[-1:]).tobytes() == one_shot[-1:].tobytes()
+        return (np.exp(-sq / kd.bandwidths ** 2) * kd.weights).sum(axis=-1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_blocked_eval_equals_one_shot_formula(self, dim, monkeypatch):
+        # the sums over components follow numpy's row order on each side of
+        # 8 and 128 terms; small blocks give two full blocks and a partial one
+        monkeypatch.setattr(kde, "EVAL_BLOCK_ROWS", 64)
+        for n_kernels in (1, 5, 8, 13, 24, 32, 129, 200):
+            rng = substream(31, "eval-blocks", dim, n_kernels)
+            kd = KernelDensity(rng.standard_normal((n_kernels, dim)),
+                               rng.uniform(-1.0, 1.0, n_kernels),
+                               rng.uniform(0.3, 2.0, n_kernels))
+            x = 2.0 * rng.standard_normal((2 * 64 + 3, dim))
+            one_shot = self._one_shot(kd, x)
+            vals = kd.eval(x)
+            assert vals.shape == (x.shape[0],)
+            assert vals.tobytes() == one_shot.tobytes(), n_kernels
+            # one point is the batch of one: same bits as its row in the batch
+            assert kd.eval(x[-1:]).tobytes() == one_shot[-1:].tobytes(), n_kernels
+
+    @pytest.mark.parametrize("n_kernels", [24, 32])
+    def test_eval_at_its_block_size_equals_one_shot_formula(self, n_kernels):
+        # the benchmark mixtures, over two full blocks of the real size
+        rng = substream(31, "eval-blocks-full", n_kernels)
+        kd = KernelDensity(rng.standard_normal((n_kernels, 1)),
+                           rng.uniform(-1.0, 1.0, n_kernels),
+                           rng.uniform(0.3, 2.0, n_kernels))
+        x = 2.0 * rng.standard_normal((2 * EVAL_BLOCK_ROWS + 3, 1))
+        assert kd.eval(x).tobytes() == self._one_shot(kd, x).tobytes()
+
+    def test_eval_of_negative_zero_terms_is_positive_zero(self):
+        # numpy's sum starts from 0.0: negative weights whose bumps underflow
+        # give -0.0 terms, which sum to +0.0 at every sum order
+        for n_kernels in (3, 12, 200):
+            kd = KernelDensity(np.zeros((n_kernels, 1)), -np.ones(n_kernels),
+                               np.full(n_kernels, 0.01))
+            vals = kd.eval(np.array([[100.0], [0.0]]))
+            assert vals.tobytes() == np.array([0.0, -float(n_kernels)]).tobytes()
 
     def test_eval_memory_is_its_buffers_and_output(self):
         n, n_kernels = 200_000, 32
@@ -120,9 +150,9 @@ class TestEval:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two (rows, L) buffers, with room for small temporaries, but no
-        # (rows, L) temporary per block
-        block_bytes = EVAL_BLOCK_ROWS * n_kernels * 8
+        # two (L, rows) buffers, with room for small temporaries, but no
+        # (L, rows) temporary per block
+        block_bytes = n_kernels * EVAL_BLOCK_ROWS * 8
         assert peak < 4 * block_bytes + vals.nbytes
 
     @pytest.mark.parametrize("points", [np.array([0.1, 0.2]), np.array(0.1),
@@ -138,6 +168,7 @@ class TestConstruction:
     @pytest.mark.parametrize("centers, n_kernels", [
         (np.array([0.1, 0.2, 0.3]), 3),  # not one center in 3-d
         (np.array([0.5]), 1),  # not one center in 1-d either
+        (np.empty((2, 0)), 2),  # points with no coordinates
     ])
     def test_centers_other_than_l_by_dim_rejected(self, centers, n_kernels):
         with pytest.raises(ConfigurationError, match=r"\(L, dim\)"):
@@ -197,6 +228,18 @@ class TestSample:
         empty = KernelDensity([[0.0]], [-1.0], [1.0])
         with pytest.raises(EmptyDensityError):
             draw(empty, substream(6, "kde-sample-empty"), 1)
+
+    def test_uniform_above_rounded_mass_takes_last_positive_component(self):
+        # the cumulative positive mass rounds to 1 - 2^-52 here, so the
+        # largest uniform below 1 lies above it; it must not reach the
+        # negative component at 40
+        kd = KernelDensity([[0.0], [1.0], [2.0], [40.0]], [0.1, 0.3, 0.2, -0.5],
+                           [0.5, 0.5, 0.5, 0.5])
+        u = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+        masses = np.maximum(kd.weights, 0.0) * kd.component_integrals()
+        assert np.cumsum(masses / masses.sum())[-1] < u[-1]
+        draws = kd.inverse_sample(u, np.zeros((3, 1)))
+        assert draws[:, 0].tolist() == [0.0, 1.0, 2.0]
 
     def test_moments_match_closed_form(self):
         kd = KernelDensity([[-1.0], [2.0]], [0.3, 0.6], [0.8, 1.1])

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fbsdefilter import reference
 from fbsdefilter.bayes import Likelihood, likelihood_density
 from fbsdefilter.errors import ConfigurationError
 from fbsdefilter.filtering import kalman_filter
@@ -104,17 +105,42 @@ def test_banded_transition_matches_dense(name):
     assert max(drifts) < 1e-12, drifts
 
 
-def test_transition_is_rebuilt_whenever_step_or_variance_changes():
-    # the banded transition is reused while (dt, var) stays put: on a grid
-    # whose every step length differs, and with a time-dependent diffusion
-    # on the uniform grid, a stale transition would be far off the dense one
+def _rebuild_cases():
+    """A grid whose every step length differs, and a time-dependent diffusion
+    on the uniform grid: every step has its own (dt, var)."""
     uneven = TimeGrid(np.concatenate([[0.0], np.cumsum(0.05 + 0.01 * np.arange(10))]))
     assert np.unique(uneven.dts).size == uneven.steps
-    cases = [(get_model("doublewell1d"), uneven),
-             (_ramped_doublewell(), GridSettings().build())]
+    return [(get_model("doublewell1d"), uneven),
+            (_ramped_doublewell(), GridSettings().build())]
+
+
+def test_transition_is_rebuilt_whenever_step_or_variance_changes():
+    # the banded transition is reused while (dt, var) stays put: in these
+    # cases a stale transition would be far off the dense one
     drifts = _run_jobs([lambda m=m, g=g: _drift_from_dense(m, g, simulate_truth(m, g, 0)[1])
-                        for m, g in cases], len(os.sched_getaffinity(0)))
+                        for m, g in _rebuild_cases()], len(os.sched_getaffinity(0)))
     assert max(drifts) < 1e-12, drifts
+
+
+def _transition_builds(monkeypatch, model, grid):
+    """How many times ``grid_filter`` builds its transition on one path."""
+    builds, build = [], reference._transition_slabs
+    monkeypatch.setattr(reference, "_transition_slabs",
+                        lambda *args: builds.append(args) or build(*args))
+    grid_filter(model, grid, simulate_truth(model, grid, 0)[1])
+    monkeypatch.undo()
+    return len(builds)
+
+
+def test_transition_is_built_once_per_uniform_grid(monkeypatch):
+    # knot rounding leaves the uniform grid several floating-point step
+    # lengths, all within TRANSITION_RTOL of one another; a step length or
+    # variance that really changes is built anew at every step
+    uniform = GridSettings().build()
+    assert np.unique(uniform.dts).size > 1
+    assert _transition_builds(monkeypatch, get_model("doublewell1d"), uniform) == 1
+    for model, grid in _rebuild_cases():
+        assert _transition_builds(monkeypatch, model, grid) == grid.steps
 
 
 def test_transition_memory_is_one_step_length():
