@@ -34,8 +34,8 @@ def _cmd_simulate(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for path, name, series in ((out / "truth.csv", "x", truth), (out / "obs.csv", "o", obs)):
-        write_csv(path, ["k", "t", *(f"{name}{j}" for j in range(series.shape[1]))],
-                  ([k, t, *row] for k, (t, row) in enumerate(zip(grid.knots, series))))
+        write_csv(path, {"k": list(range(grid.steps + 1)), "t": grid.knots.tolist(),
+                         **{f"{name}{j}": column for j, column in enumerate(series.T.tolist())}})
     print(f"wrote {out / 'truth.csv'} and {out / 'obs.csv'}")
     return 0
 

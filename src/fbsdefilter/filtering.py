@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .artifacts import write_csv_columns, write_json
+from .artifacts import write_csv, write_json
 from .bayes import DENSITY_FLOOR, Likelihood, bayes_update, denominator_mc, \
     likelihood_density
 from .errors import ConfigurationError, FilterError
@@ -214,10 +214,10 @@ def write_checkpoint(state: FilterState, out_dir) -> None:
     if isinstance(state.density, KernelDensity):
         save_density(state.density, out / f"kd_step_{tag}.txt")
     cloud = state.cloud
-    write_csv_columns(out / f"particles_step_{tag}.csv",
-                      ["index", *(f"x{j}" for j in range(cloud.dim)), "value"],
-                      [cloud.ids.tolist(), *cloud.locations.T.tolist(),
-                       cloud.values.tolist()])
+    write_csv(out / f"particles_step_{tag}.csv",
+              {"index": cloud.ids.tolist(),
+               **{f"x{j}": column for j, column in enumerate(cloud.locations.T.tolist())},
+               "value": cloud.values.tolist()})
     write_json(out / f"diagnostics_step_{tag}.json", state.diagnostics.to_dict(state.k))
 
 

@@ -14,7 +14,7 @@ import sys
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, get_type_hints
 
@@ -575,12 +575,11 @@ def save_report(report: ConvergenceReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / f"rates_{report.axis}.json", report.to_dict())
-    rows = []
-    for rep in range(report.raw.shape[0]):
-        for j, v in enumerate(report.values):
-            rows.append([rep, v, report.raw[rep, j]])
+    reps, n_values = report.raw.shape
     write_csv(out / f"rates_{report.axis}_raw.csv",
-              ["replication", "axis_value", "squared_error"], rows)
+              {"replication": np.repeat(np.arange(reps), n_values).tolist(),
+               "axis_value": np.tile(report.values, reps).tolist(),
+               "squared_error": report.raw.ravel().tolist()})
 
 
 @dataclass
@@ -599,14 +598,14 @@ def _posterior_mean_std(state) -> tuple[Array, Array]:
     return mean, std
 
 
-def _run_single_replication(model: StateSpaceModel, cfg: ExperimentConfig,
+def _run_single_replication(model: StateSpaceModel, cfg: FilterConfig,
                             rep: int, out: Path) -> dict:
     rep_seed = derive_seed(cfg.seed, "replication", rep)
-    grid = cfg.grid.build()
+    grid = cfg.grid
     truth, obs = simulate_truth(model, grid, rep_seed)
     rep_dir = out / f"rep_{rep:03d}"
     rep_dir.mkdir(parents=True, exist_ok=True)
-    fcfg = cfg.filter_config(seed=rep_seed)
+    fcfg = replace(cfg, seed=rep_seed)
     states = run_filter(model, obs, fcfg,
                         on_step=lambda s: write_checkpoint(s, rep_dir))
 
@@ -615,41 +614,23 @@ def _run_single_replication(model: StateSpaceModel, cfg: ExperimentConfig,
     post_std = np.stack([std for _mean, std in moments])
     pf = bootstrap_pf(model, grid, obs, fcfg.n_particles, rep_seed)
 
-    oracle_mean = oracle_std = None
+    oracle = {}
     if model.linear is not None:
         kal = kalman_filter(model.linear, grid, obs)
-        oracle_mean, oracle_std = kal.means, kal.stds()
+        oracle = {"oracle_mean": kal.means, "oracle_std": kal.stds()}
     elif model.dim_state == 1:
         ref = grid_filter(model, grid, obs)
-        oracle_mean, oracle_std = ref.means[:, None], ref.stds[:, None]
+        oracle = {"oracle_mean": ref.means[:, None], "oracle_std": ref.stds[:, None]}
 
-    d = model.dim_state
-    header = (["k", "t"]
-              + [f"truth_x{j}" for j in range(d)]
-              + [f"obs_o{j}" for j in range(model.dim_obs)]
-              + [f"post_mean_x{j}" for j in range(d)]
-              + [f"post_std_x{j}" for j in range(d)]
-              + [f"pf_mean_x{j}" for j in range(d)]
-              + (["oracle_mean_x%d" % j for j in range(d)]
-                 + ["oracle_std_x%d" % j for j in range(d)] if oracle_mean is not None else [])
-              + ["kd_mass", "acceptance_rate", "denominator", "negative_mass_fraction"])
-    rows = []
-    for k, state in enumerate(states):
-        row = [k, grid.time(k), *truth[k], *obs[k], *post_mean[k], *post_std[k],
-               *pf.means[k]]
-        if oracle_mean is not None:
-            row += [*oracle_mean[k], *oracle_std[k]]
-        diag = state.diagnostics
-        row += [diag.kd_mass, diag.acceptance_rate, diag.denominator,
-                diag.negative_mass_fraction]
-        rows.append(row)
-    write_csv(rep_dir / "summary.csv", header, rows)
-
-    result = {"post_mean": post_mean, "pf_mean": pf.means}
-    if oracle_mean is not None:
-        result["oracle_mean"] = oracle_mean
-        result["oracle_std"] = oracle_std
-    return result
+    columns = {"k": list(range(grid.steps + 1)), "t": grid.knots.tolist()}
+    for prefix, series in (("truth_x", truth), ("obs_o", obs), ("post_mean_x", post_mean),
+                           ("post_std_x", post_std), ("pf_mean_x", pf.means),
+                           *((f"{name}_x", table) for name, table in oracle.items())):
+        columns.update((f"{prefix}{j}", column) for j, column in enumerate(series.T.tolist()))
+    for name in ("kd_mass", "acceptance_rate", "denominator", "negative_mass_fraction"):
+        columns[name] = [float(getattr(s.diagnostics, name)) for s in states]
+    write_csv(rep_dir / "summary.csv", columns)
+    return {"post_mean": post_mean, "pf_mean": pf.means, **oracle}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
@@ -657,33 +638,33 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
 
     Every replication is an independent deterministic job keyed by the
     experiment seed; ``cfg.threads`` worker processes run them, and output
-    files are identical for any worker count.
+    files are identical for any worker count.  The model name and the filter
+    settings are checked before anything is written.
     """
     model = get_model(cfg.model)
+    fcfg = cfg.filter_config()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", cfg.to_dict())
 
-    jobs = [lambda rep=rep: _run_single_replication(model, cfg, rep, out)
+    jobs = [lambda rep=rep: _run_single_replication(model, fcfg, rep, out)
             for rep in range(cfg.replications)]
     results = _run_jobs(jobs, cfg.threads)
 
     error_path = None
     if "oracle_mean" in results[0]:
-        steps = results[0]["post_mean"].shape[0]
-        rows = []
-        for k in range(steps):
-            fbsde_err = np.array([
-                np.abs(r["post_mean"][k] - r["oracle_mean"][k]).max() for r in results])
-            pf_err = np.array([
-                np.abs(r["pf_mean"][k] - r["oracle_mean"][k]).max() for r in results])
-            scale = np.array([r["oracle_std"][k].max() for r in results])
-            rows.append([k, float(np.median(fbsde_err)), float(np.median(pf_err)),
-                         float(np.median(fbsde_err / np.maximum(scale, 1e-300)))])
+        # (replications, steps + 1, d) each
+        stacked = {key: np.stack([r[key] for r in results]) for key in results[0]}
+        fbsde_err = np.abs(stacked["post_mean"] - stacked["oracle_mean"]).max(axis=2)
+        pf_err = np.abs(stacked["pf_mean"] - stacked["oracle_mean"]).max(axis=2)
+        scale = stacked["oracle_std"].max(axis=2)
         error_path = out / "errors_vs_oracle.csv"
-        write_csv(error_path,
-                  ["k", "fbsde_abs_err_median", "pf_abs_err_median",
-                   "fbsde_err_over_oracle_std_median"], rows)
+        write_csv(error_path, {
+            "k": list(range(fcfg.grid.steps + 1)),
+            "fbsde_abs_err_median": np.median(fbsde_err, axis=0).tolist(),
+            "pf_abs_err_median": np.median(pf_err, axis=0).tolist(),
+            "fbsde_err_over_oracle_std_median":
+                np.median(fbsde_err / np.maximum(scale, 1e-300), axis=0).tolist()})
 
     summary_path = out / "rep_000" / "summary.csv"
     return ExperimentArtifacts(out_dir=out, summary_path=summary_path,

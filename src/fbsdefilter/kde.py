@@ -91,9 +91,10 @@ def _pairwise_sum(terms: Array, out: Array) -> None:
 def _bumps(points: Array, centers: Array, bandwidths) -> tuple[Array, Array]:
     """Squared distances and bumps of ``(..., d)`` points against ``(L, d)`` centers.
 
-    Both have shape ``(..., L)``.  This is the bump of the descent, the
-    Hessian and the Parzen estimate; ``KernelDensity.eval`` forms the same
-    bits in place in its own buffers, which a test pins against this helper.
+    Both have shape ``(..., L)``.  This is the bump of the Hessian, the
+    Parzen estimate and the fit's closing full-sample pass; the descent step
+    and ``KernelDensity.eval`` form the same bits in their own buffers, which
+    tests pin against this helper.
     """
     sq = _sq_dists(points, centers)
     return sq, np.exp(-sq / bandwidths ** 2)

@@ -56,15 +56,8 @@ class TrainConfig:
 
 @dataclass
 class LossReport:
-    """Per-step trace of the fit.
+    """Full-sample loss, gradient norm and bandwidth clamp count of the fit."""
 
-    ``trace[0]`` is the full-sample loss at initialization; ``trace[s]`` for
-    s >= 1 is the single-sample loss seen at step s before the update, with
-    the matching entry of ``sample_indices`` (-1 at step 0).
-    """
-
-    trace: Array
-    sample_indices: Array
     final_loss: float
     final_grad_norm: float
     bandwidth_clamps: int = 0
@@ -79,7 +72,7 @@ def _select_center_rows(n: int, n_kernels: int, rng: np.random.Generator) -> Arr
 
 
 def _descend(params: Array, grads: Array, pairs: Array, ys, rates: Array,
-             floors: Array, losses: list) -> tuple[float, int]:
+             floors: Array) -> tuple[float, int]:
     """Descent steps over the pairs; the one place the pair update is computed.
 
     ``params`` is ``(2, L)``, weights over bandwidths, updated in place, and
@@ -88,12 +81,11 @@ def _descend(params: Array, grads: Array, pairs: Array, ys, rates: Array,
     and ``2 |x - center|^2 / bandwidth^3``.  ``pairs`` holds each step's
     ``(2, L)`` minus and twice the squared distances to the centers, divided
     by the square and the cube of the bandwidths in one call; ``rates`` is
-    ``(steps, 2, L)``.  Bandwidths below ``floors`` are raised to it.  Each
-    step's squared residual is appended to ``losses``; returns the last
-    residual and the number of clamped bandwidths.  Nothing here checks
-    finiteness: a non-finite parameter stays non-finite through every later
-    step (the clamp turns only ``-inf`` into the floor), so the caller scans
-    once at the end.
+    ``(steps, 2, L)``.  Bandwidths below ``floors`` are raised to it.
+    Returns the last residual and the number of clamped bandwidths.  Nothing
+    here checks finiteness: a non-finite parameter stays non-finite through
+    every later step (the clamp turns only ``-inf`` into the floor), so the
+    caller scans once at the end.
     """
     weights, bandwidths = params
     grad_w, grad_b = grads
@@ -118,7 +110,6 @@ def _descend(params: Array, grads: Array, pairs: Array, ys, rates: Array,
         divide(pair, powers, quotients)
         exp(bumps, bumps)
         resid = float(add_reduce(multiply(weights, bumps, scratch))) - y
-        losses.append(resid * resid)
         # a 0-d array skips the conversion of a Python float in the multiply
         two_resid[()] = 2.0 * resid
         multiply(bumps, two_resid, grad_w)
@@ -142,7 +133,7 @@ def _single_pair(kd: KernelDensity, x, y) -> tuple[float, Array, Array]:
     no_floor = np.full(kd.n_components, -math.inf)
     resid, _ = _descend(params, grads, np.stack([-sq, 2.0 * sq])[None],
                         [float(np.squeeze(y))], np.zeros((1,) + params.shape),
-                        no_floor, [])
+                        no_floor)
     return resid, *grads
 
 
@@ -156,20 +147,20 @@ def loss_and_gradients(kd: KernelDensity, x, y: float) -> tuple[float, Array, Ar
     return resid * resid, grad_w, grad_b
 
 
-def full_loss(kd: KernelDensity, locations: Array, targets: Array) -> float:
-    """Average squared residual over the whole training set."""
-    resid = kd.eval(locations) - np.asarray(targets, dtype=float)
-    return float(np.mean(resid * resid))
+def _full_loss_and_gradient_norm(kd: KernelDensity, locations: Array,
+                                 targets: Array) -> tuple[float, float]:
+    """Average squared residual over the training set, and the Euclidean norm
+    of its gradient over both parameter blocks, from one pass over the bumps.
 
-
-def full_gradient_norm(kd: KernelDensity, locations: Array, targets: Array) -> float:
-    """Euclidean norm of the average-loss gradient over both parameter blocks."""
+    The residual's row sum has the bits of ``kd.eval`` at the locations.
+    """
     sq, bumps = _bumps(locations, kd.centers, kd.bandwidths)
-    resid = (bumps * kd.weights).sum(axis=1) - np.asarray(targets, dtype=float)
+    resid = (bumps * kd.weights).sum(axis=1) - targets
     grad_w = 2.0 * (resid[:, None] * bumps).mean(axis=0)
     grad_b = 2.0 * (resid[:, None] * bumps * (2.0 * sq / kd.bandwidths ** 3)
                     ).mean(axis=0) * kd.weights
-    return float(np.sqrt((grad_w * grad_w).sum() + (grad_b * grad_b).sum()))
+    return (float(np.mean(resid * resid)),
+            float(np.sqrt((grad_w * grad_w).sum() + (grad_b * grad_b).sum())))
 
 
 def _initial_bandwidth(centers: Array, locations: Array) -> float:
@@ -208,15 +199,10 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
     floor = BANDWIDTH_FLOOR_FRAC * width0
 
     steps = cfg.sgd_steps
-    trace = np.empty(steps + 1)
-    picks = np.full(steps + 1, -1, dtype=np.int64)
-    trace[0] = full_loss(KernelDensity(centers, weights.copy(), bandwidths.copy()),
-                         locations, targets)
-
     # one call draws the same pair indices as one scalar draw per step
-    picks[1:] = rng.integers(n, size=steps)
+    picks = rng.integers(n, size=steps)
     # centers do not move, so every picked pair's distances are known up front
-    sq = _sq_dists(locations[picks[1:]], centers)
+    sq = _sq_dists(locations[picks], centers)
     dists = np.empty((steps, 2, n_kernels))
     np.negative(sq, dists[:, 0])
     np.multiply(sq, 2.0, dists[:, 1])
@@ -224,13 +210,12 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
     # broadcast in the update costs more than the product itself
     rates = np.empty_like(dists)
     rates[...] = np.stack(cfg.rate_at(np.arange(1, steps + 1)), axis=1)[:, :, None]
-    ys = targets[picks[1:]].tolist()
+    ys = targets[picks].tolist()
     floors = np.full(n_kernels, floor)
     # weights over bandwidths; descent updates them in place
     params = np.stack([weights, bandwidths])
     grads = np.empty_like(params)
-    losses = []
-    _, clamps = _descend(params, grads, dists, ys, rates, floors, losses)
+    _, clamps = _descend(params, grads, dists, ys, rates, floors)
     if not np.isfinite(params).all():
         # replay from the start, one step at a time, to name the first step
         # that left a parameter non-finite; the first pass warned already
@@ -238,22 +223,15 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
         with np.errstate(all="ignore"):
             for s in range(1, steps + 1):
                 _descend(params, grads, dists[s - 1:s], ys[s - 1:s],
-                         rates[s - 1:s], floors, [])
+                         rates[s - 1:s], floors)
                 if not np.isfinite(params).all():
                     raise DivergentLearningError(
                         f"non-finite kernel parameters at descent step {s}; "
                         "lower the learning rates")
-    trace[1:] = losses
 
     kd = KernelDensity(centers, params[0].copy(), params[1].copy())
-    report = LossReport(
-        trace=trace,
-        sample_indices=picks,
-        final_loss=full_loss(kd, locations, targets),
-        final_grad_norm=full_gradient_norm(kd, locations, targets),
-        bandwidth_clamps=clamps,
-    )
-    return kd, report
+    return kd, LossReport(*_full_loss_and_gradient_norm(kd, locations, targets),
+                          bandwidth_clamps=clamps)
 
 
 def hessian(kd: KernelDensity, x, y: float, asymptotic: bool = False) -> Array:

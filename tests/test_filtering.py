@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from fbsdefilter.artifacts import write_csv
 from fbsdefilter.bayes import DENSITY_FLOOR
 from fbsdefilter.errors import ConfigurationError, FilterError
 from fbsdefilter.filtering import (
@@ -30,7 +29,7 @@ from fbsdefilter.model import MODEL_ZOO, LinearGaussian, TimeGrid, get_model, \
 from fbsdefilter.predict import ParticleCloud, PredictConfig
 from fbsdefilter.rngs import substream
 
-from conftest import load_density, make_model_1d
+from conftest import load_density, make_model_1d, write_csv_rows
 
 LINEAR_ZOO = [name for name, make in MODEL_ZOO.items() if make().linear is not None]
 
@@ -313,8 +312,8 @@ class TestRunFilter:
         assert len(particles) == 31
 
     def test_particle_table_has_the_bytes_of_the_row_writer(self, tmp_path):
-        # the column writer formats the cells write_csv formats, cell by cell:
-        # ids via str, floats via repr(float(.)), in storage order; nan and
+        # the column writer formats the cells the row writer formats, cell by
+        # cell: ids via str, floats via repr(float(.)), in storage order; nan and
         # infinities too, and tables of one row, whose column reprs are
         # "[cell]", and of none
         rng = substream(12, "checkpoint-cells")
@@ -326,9 +325,9 @@ class TestRunFilter:
             cloud = ParticleCloud(k=4, locations=locations[:n_rows], values=values[:n_rows],
                                   stage="posterior", ids=ids[:n_rows])
             write_checkpoint(FilterState(k=4, cloud=cloud, density=None), tmp_path)
-            write_csv(tmp_path / "rows.csv", ["index", "x0", "x1", "value"],
-                      ([int(pid), *loc, val]
-                       for pid, loc, val in zip(cloud.ids, cloud.locations, cloud.values)))
+            write_csv_rows(tmp_path / "rows.csv", ["index", "x0", "x1", "value"],
+                           ([int(pid), *loc, val] for pid, loc, val
+                            in zip(cloud.ids, cloud.locations, cloud.values)))
             assert (tmp_path / "particles_step_0004.csv").read_bytes() \
                 == (tmp_path / "rows.csv").read_bytes(), n_rows
 

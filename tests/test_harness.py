@@ -33,7 +33,7 @@ from fbsdefilter.model import MODEL_ZOO, TimeGrid, get_model, register_model, \
     simulate_truth
 from fbsdefilter.rngs import substream
 
-from conftest import make_model_1d
+from conftest import make_model_1d, write_csv_rows
 
 
 class TestFitLoglogSlope:
@@ -100,6 +100,11 @@ class TestConvergenceReport:
         lines = (tmp_path / "rates_N_raw.csv").read_text().splitlines()
         assert lines[0] == "replication,axis_value,squared_error"
         assert len(lines) == 1 + 50 * 4
+        write_csv_rows(tmp_path / "rows.csv", ["replication", "axis_value", "squared_error"],
+                       ([rep, v, report.raw[rep, j]] for rep in range(50)
+                        for j, v in enumerate(report.values)))
+        assert (tmp_path / "rates_N_raw.csv").read_bytes() \
+            == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestRunRateStudy:
@@ -259,12 +264,49 @@ class TestRunExperiment:
         assert len(summary) == 7
         assert artifacts.error_path is not None
         rep_dir = Path(cfg.out_dir) / "rep_000"
-        for k in range(1, 6):
-            assert (rep_dir / f"kd_step_{k:04d}.txt").exists()
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+        for k in range(6):
+            assert (rep_dir / f"kd_step_{k:04d}.txt").exists() == (k > 0)
             assert (rep_dir / f"particles_step_{k:04d}.csv").exists()
-            diag = json.loads((rep_dir / f"diagnostics_step_{k:04d}.json").read_text())
+            diag = json.loads((rep_dir / f"diagnostics_step_{k:04d}.json").read_text(),
+                              parse_constant=refuse)
             assert set(diag) == {"k", "denominator", "acceptance_rate",
                                  "negative_mass_fraction", "kd_mass"}
+        assert diag["kd_mass"] > 0
+        assert json.loads((rep_dir / "diagnostics_step_0000.json").read_text())["kd_mass"] \
+            is None
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_error_table_has_the_bytes_of_the_per_step_median_loop(self, tmp_path):
+        # the oracle error table, recomputed from the replications' summary
+        # columns one step at a time and written by the row writer
+        cfg = self._smoke_cfg(tmp_path, model="doublewell1d", replications=3,
+                              filter=FilterSettings(n_particles=200, mc_samples=16,
+                                                    n_kernels=16, sgd_steps=500,
+                                                    variant="left_point"))
+        artifacts = run_experiment(cfg)
+        summaries = []
+        for rep in range(3):
+            lines = (Path(cfg.out_dir) / f"rep_{rep:03d}" / "summary.csv").read_text() \
+                .splitlines()
+            header = lines[0].split(",")
+            summaries.append({name: np.array([float(line.split(",")[i]) for line in lines[1:]])
+                              for i, name in enumerate(header)})
+        rows = []
+        for k in range(6):
+            fbsde_err = np.array([abs(r["post_mean_x0"][k] - r["oracle_mean_x0"][k])
+                                  for r in summaries])
+            pf_err = np.array([abs(r["pf_mean_x0"][k] - r["oracle_mean_x0"][k])
+                               for r in summaries])
+            scale = np.array([r["oracle_std_x0"][k] for r in summaries])
+            rows.append([k, float(np.median(fbsde_err)), float(np.median(pf_err)),
+                         float(np.median(fbsde_err / np.maximum(scale, 1e-300)))])
+        write_csv_rows(tmp_path / "rows.csv",
+                       ["k", "fbsde_abs_err_median", "pf_abs_err_median",
+                        "fbsde_err_over_oracle_std_median"], rows)
+        assert Path(artifacts.error_path).read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -414,6 +456,21 @@ class TestCli:
         assert cli_main(["filter", "--config", str(bad), "--out", str(out)]) == 2
         assert ("error: field 'n_particles' in section 'filter' must be an integer"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"filter": {"variant": "bogus"}}', "variant must be one of"),
+        ('{"filter": {"n_kernels": 500}}', "need 1 <= n_kernels <= n_particles"),
+        ('{"grid": {"steps": 0}}', "steps must be >= 1"),
+    ], ids=["variant", "n_kernels", "steps"])
+    def test_bad_filter_settings_exit_before_any_output(self, tmp_path, capsys, text,
+                                                        message):
+        bad = tmp_path / "bad5.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert cli_main(["filter", "--config", str(bad), "--replications", "2",
+                         "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rates_below_replication_floor_exits_nonzero(self, tmp_path, capsys):

@@ -11,8 +11,6 @@ from fbsdefilter.learn import (
     TrainConfig,
     _initial_bandwidth,
     _select_center_rows,
-    full_gradient_norm,
-    full_loss,
     hessian,
     loss_and_gradients,
     sgd_fit,
@@ -63,33 +61,32 @@ def max_relative_gradient_error(kd, x, y, step=1e-6, rtol=1e-5):
     return float((np.abs(analytic - numeric) / scale).max())
 
 
-def reference_sgd_fit(training, n_kernels, cfg, rng):
-    """The descent loop as one fresh array per operation; the bit-level reference."""
+def reference_start(training, n_kernels, rng):
+    """Id-sorted locations and targets, and the mixture the fit starts from."""
     order = np.argsort(training.ids)
     locations = training.locations[order]
     targets = training.values[order]
-    n = targets.size
-    rows = _select_center_rows(n, n_kernels, rng)
+    rows = _select_center_rows(targets.size, n_kernels, rng)
     centers = locations[rows].copy()
     width0 = _initial_bandwidth(centers, locations)
     weights = targets[rows] / (n_kernels * (width0 * SQRT_PI) ** centers.shape[1])
-    bandwidths = np.full(n_kernels, float(width0))
-    floor = BANDWIDTH_FLOOR_FRAC * width0
-    steps = cfg.sgd_steps
-    trace = np.empty(steps + 1)
-    picks = np.full(steps + 1, -1, dtype=np.int64)
-    trace[0] = full_loss(KernelDensity(centers, weights.copy(), bandwidths.copy()),
-                         locations, targets)
+    return locations, targets, KernelDensity(centers, weights, np.full(n_kernels, width0))
+
+
+def reference_sgd_fit(training, n_kernels, cfg, rng):
+    """The descent loop as one fresh array per operation; the bit-level reference."""
+    locations, targets, start = reference_start(training, n_kernels, rng)
+    centers, weights, bandwidths = start.centers, start.weights, start.bandwidths
+    floor = BANDWIDTH_FLOOR_FRAC * bandwidths[0]
     clamps = 0
-    picks[1:] = rng.integers(n, size=steps)
-    rates_w, rates_b = cfg.rate_at(np.arange(1, steps + 1))
-    for s, idx, rate_w, rate_b in zip(range(1, steps + 1), picks[1:].tolist(),
-                                      rates_w.tolist(), rates_b.tolist()):
+    rates_w, rates_b = cfg.rate_at(np.arange(1, cfg.sgd_steps + 1))
+    for s, rate_w, rate_b in zip(range(1, cfg.sgd_steps + 1), rates_w.tolist(),
+                                 rates_b.tolist()):
+        idx = int(rng.integers(targets.size))
         sq, bumps = _bumps(locations[idx], centers, bandwidths)
         resid = float((weights * bumps).sum() - targets[idx])
         grad_w = 2.0 * resid * bumps
         grad_b = grad_w * weights * (2.0 * sq / bandwidths ** 3)
-        trace[s] = resid * resid
         weights = weights - rate_w * grad_w
         bandwidths = bandwidths - rate_b * grad_b
         low = bandwidths < floor
@@ -101,10 +98,15 @@ def reference_sgd_fit(training, n_kernels, cfg, rng):
                 f"non-finite kernel parameters at descent step {s}; "
                 "lower the learning rates")
     kd = KernelDensity(centers, weights, bandwidths)
-    return kd, LossReport(trace=trace, sample_indices=picks,
-                          final_loss=full_loss(kd, locations, targets),
-                          final_grad_norm=full_gradient_norm(kd, locations, targets),
-                          bandwidth_clamps=clamps)
+    resid = kd.eval(locations) - targets
+    sq, bumps = _bumps(locations, centers, bandwidths)
+    grad_w = 2.0 * (resid[:, None] * bumps).mean(axis=0)
+    grad_b = 2.0 * (resid[:, None] * bumps * (2.0 * sq / bandwidths ** 3)
+                    ).mean(axis=0) * weights
+    return kd, LossReport(
+        final_loss=float(np.mean(resid * resid)),
+        final_grad_norm=float(np.sqrt((grad_w * grad_w).sum() + (grad_b * grad_b).sum())),
+        bandwidth_clamps=clamps)
 
 
 class TestSelectCenters:
@@ -170,7 +172,8 @@ class TestSgdFit:
         cfg = TrainConfig(sgd_steps=4000)
         kd, report = sgd_fit(cloud, 25, cfg, substream(11, "fit-gauss-run"))
         assert report.final_loss < 1e-3
-        assert report.trace.size == cfg.sgd_steps + 1
+        resid = kd.eval(locations) - targets
+        assert report.final_loss == float(np.mean(resid * resid))
 
     def test_realizable_targets_loss_decreases_in_windows(self):
         rng = substream(12, "fit-window")
@@ -180,9 +183,9 @@ class TestSgdFit:
         cloud = self._cloud_from(locations, values)
         kd, report = sgd_fit(cloud, 3, TrainConfig(sgd_steps=3000),
                              substream(13, "fit-window-run"))
-        tail = report.trace[-300:].mean()
-        head = report.trace[1:301].mean()
-        assert tail <= head
+        _, _, start = reference_start(cloud, 3, substream(13, "fit-window-run"))
+        start_resid = start.eval(locations) - values
+        assert report.final_loss < np.mean(start_resid * start_resid)
 
     def test_permutation_of_cloud_reproduces_fit_exactly(self):
         rng = substream(14, "fit-perm")
@@ -199,23 +202,6 @@ class TestSgdFit:
         assert np.array_equal(kd_a.centers, kd_b.centers)
         assert np.array_equal(kd_a.weights, kd_b.weights)
         assert np.array_equal(kd_a.bandwidths, kd_b.bandwidths)
-
-    # the ids name the fit's center rule, the uniform subsample
-    @pytest.mark.parametrize("n_kernels", [8], ids=["uniform_subsample"])
-    def test_pair_indices_are_scalar_draws_after_center_selection(self, n_kernels):
-        # the fit draws all pair indices in one call; numpy must keep giving
-        # the values, and the order, of one scalar draw per step
-        rng = substream(19, "fit-picks")
-        n, steps = 300, 500
-        cloud = ParticleCloud(k=1, locations=rng.standard_normal((n, 1)),
-                              values=np.abs(rng.standard_normal(n)) + 0.1,
-                              stage="posterior", ids=rng.permutation(n))
-        _, report = sgd_fit(cloud, n_kernels, TrainConfig(sgd_steps=steps),
-                            substream(20, "fit-picks-run"))
-        replay = substream(20, "fit-picks-run")
-        _select_center_rows(n, n_kernels, replay)
-        scalar = [int(replay.integers(n)) for _ in range(steps)]
-        assert report.sample_indices[1:].tolist() == scalar
 
     # the last two are the fit shapes of the benchmark workloads
     # (experiment-doublewell and crit7-linear1d)
@@ -239,8 +225,6 @@ class TestSgdFit:
                                         substream(24, "fit-ref-run", dim))
         for name in ("centers", "weights", "bandwidths"):
             assert getattr(kd, name).tobytes() == getattr(ref_kd, name).tobytes(), name
-        assert report.trace.tobytes() == ref.trace.tobytes()
-        assert np.array_equal(report.sample_indices, ref.sample_indices)
         assert report.final_loss == ref.final_loss
         assert report.final_grad_norm == ref.final_grad_norm
         assert report.bandwidth_clamps == ref.bandwidth_clamps
