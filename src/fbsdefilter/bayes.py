@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateObservationError
+from .model import matvec
 from .predict import ParticleCloud
 
 Array = np.ndarray
@@ -70,8 +71,7 @@ def likelihood_density(lik: Likelihood, x: Array) -> Array:
         raise ConfigurationError(f"expected (n, dim) states; got shape {x.shape}")
     mean = lik.obs_prev + np.asarray(lik.obs_map(x), dtype=float) * lik.dt
     diff = lik.obs_now - mean
-    # explicit quadratic form keeps per-row results independent of batch shape
-    quad = ((diff[..., None, :] * lik._precision).sum(axis=-1) * diff).sum(axis=-1)
+    quad = (matvec(lik._precision, diff) * diff).sum(axis=-1)
     return np.exp(np.maximum(lik._log_norm - 0.5 * quad, LOG_FLOOR))
 
 
@@ -107,5 +107,5 @@ def bayes_update(prior: ParticleCloud, lik: Likelihood) -> ParticleCloud:
             "incompatible with the predicted cloud")
     denom = _id_ordered_mean(liks, prior.ids)
     values = prior.values * liks / denom
-    return ParticleCloud(k=prior.k, locations=prior.locations, values=values,
-                         stage="posterior", ids=prior.ids.copy())
+    return ParticleCloud(locations=prior.locations, values=values, stage="posterior",
+                         ids=prior.ids.copy())

@@ -95,34 +95,9 @@ def initialize(model: StateSpaceModel, cfg: FilterConfig) -> FilterState:
             f"initial sampler returned shape {locations.shape}, expected "
             f"{(cfg.n_particles, model.dim_state)}")
     values = np.asarray(model.initial_density(locations), dtype=float)
-    cloud = ParticleCloud(k=0, locations=locations, values=np.maximum(values, 0.0),
+    cloud = ParticleCloud(locations=locations, values=np.maximum(values, 0.0),
                           stage="posterior")
     return FilterState(k=0, cloud=cloud, density=InitialDensity(model))
-
-
-def _metropolis(cloud: ParticleCloud, kd: KernelDensity,
-                stream_for: Callable[[int], np.random.Generator]
-                ) -> tuple[ParticleCloud, float]:
-    n = cloud.n_particles
-    u, accept_u = [], []
-    z = np.empty((n, kd.dim))
-    for pid, z_row in zip(cloud.ids.tolist(), z):
-        rng = stream_for(pid)
-        u.append(rng.random())
-        rng.standard_normal(out=z_row)
-        accept_u.append(rng.random())
-    proposals = kd.inverse_sample(np.array(u), z)
-    old_vals = kd.eval(cloud.locations)
-    prop_vals = kd.eval(proposals)
-    ratio = np.maximum(prop_vals, 0.0) / np.maximum(old_vals, DENSITY_FLOOR)
-    accept = np.array(accept_u) < np.minimum(1.0, ratio)
-    new_locations = np.where(accept[:, None], proposals, cloud.locations)
-    # each value is a sum over its own row: the survivor's value at its
-    # location is the one already computed there
-    values = np.maximum(np.where(accept, prop_vals, old_vals), 0.0)
-    out = ParticleCloud(k=cloud.k, locations=new_locations, values=values,
-                        stage="posterior", ids=cloud.ids.copy())
-    return out, int(accept.sum()) / n
 
 
 def metropolis_resample(cloud: ParticleCloud, kd: KernelDensity,
@@ -144,7 +119,23 @@ def metropolis_resample(cloud: ParticleCloud, kd: KernelDensity,
     order and of every other particle.  Each id's generator is used up before
     the next id is asked for.
     """
-    return _metropolis(cloud, kd, stream_for)[0]
+    u, accept_u = [], []
+    z = np.empty((cloud.n_particles, kd.dim))
+    for pid, z_row in zip(cloud.ids.tolist(), z):
+        rng = stream_for(pid)
+        u.append(rng.random())
+        rng.standard_normal(out=z_row)
+        accept_u.append(rng.random())
+    proposals = kd.inverse_sample(np.array(u), z)
+    old_vals = kd.eval(cloud.locations)
+    prop_vals = kd.eval(proposals)
+    ratio = np.maximum(prop_vals, 0.0) / np.maximum(old_vals, DENSITY_FLOOR)
+    accept = np.array(accept_u) < np.minimum(1.0, ratio)
+    # each value is a sum over its own row: the survivor's value at its
+    # location is the one already computed there
+    return ParticleCloud(locations=np.where(accept[:, None], proposals, cloud.locations),
+                         values=np.maximum(np.where(accept, prop_vals, old_vals), 0.0),
+                         stage="posterior", ids=cloud.ids.copy())
 
 
 def step(state: FilterState, model: StateSpaceModel, obs_prev: Array,
@@ -153,7 +144,8 @@ def step(state: FilterState, model: StateSpaceModel, obs_prev: Array,
 
     Composes prediction, Bayesian update, mixture learning, and resampling;
     the learned mixture is both the carried density and the value source for
-    the resampled cloud.
+    the resampled cloud.  The acceptance rate is the share of particles the
+    move relocated: a proposal equal to its incumbent has probability zero.
     """
     k = state.k + 1
     if k > cfg.grid.steps:
@@ -167,7 +159,7 @@ def step(state: FilterState, model: StateSpaceModel, obs_prev: Array,
         denominator = denominator_mc(prior, lik)
         kd, _report = sgd_fit(posterior, cfg.n_kernels, cfg.train,
                               substream(cfg.seed, "sgd", k))
-        cloud, acceptance = _metropolis(
+        cloud = metropolis_resample(
             posterior, kd, lambda pid: substream(cfg.seed, "resample", k, pid))
     except FilterError as err:
         raise type(err)(f"step {k}: {err}") from err
@@ -177,7 +169,9 @@ def step(state: FilterState, model: StateSpaceModel, obs_prev: Array,
         warnings.warn(
             f"step {k}: negative kernel mass fraction {neg_frac:.3f} exceeds "
             f"{NEGATIVE_MASS_WARN:.3f}", stacklevel=2)
-    diag = StepDiagnostics(denominator=denominator, acceptance_rate=acceptance,
+    moved = int(np.any(cloud.locations != posterior.locations, axis=1).sum())
+    diag = StepDiagnostics(denominator=denominator,
+                           acceptance_rate=moved / cloud.n_particles,
                            negative_mass_fraction=neg_frac, kd_mass=kd.mass())
     return FilterState(k=k, cloud=cloud, density=kd, diagnostics=diag)
 

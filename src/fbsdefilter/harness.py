@@ -27,9 +27,9 @@ from .filtering import FilterConfig, bootstrap_pf, kalman_filter, run_filter, \
     write_checkpoint
 from .kde import KernelDensity, mse_rate_exponent, parzen_estimate
 from .learn import TrainConfig
-from .model import StateSpaceModel, TimeGrid, backward_sample, euler_step, get_model, \
-    ou_exact_coupled_step, simulate_truth
-from .predict import ParticleCloud, PredictConfig, predict_value
+from .model import StateSpaceModel, TimeGrid, backward_sample, check_drift_divergence, \
+    euler_step, get_model, ou_exact_coupled_step, simulate_truth
+from .predict import ParticleCloud, PredictConfig, check_contraction, predict_value
 from .reference import denominator_oracle, grid_filter, \
     prediction_oracle_left_point
 from .rngs import derive_seed, substream
@@ -42,11 +42,21 @@ AXES = ("L", "M", "N", "dt")
 REPLICATION_FLOOR = 50
 
 
-def check_sweep_grid(values) -> None:
-    """Refuse a sweep grid that cannot carry a slope claim."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 4 or not np.all(np.diff(values) > 0):
-        raise ConfigurationError("sweep grid must be strictly increasing with >= 4 points")
+def check_slope_claim(replications: int, values=None) -> None:
+    """Refuse a study that cannot carry a slope claim.
+
+    It needs at least ``REPLICATION_FLOOR`` replications and, when ``values``
+    is given, a strictly increasing grid of at least 4 points.
+    """
+    if replications < REPLICATION_FLOOR:
+        raise ConfigurationError(
+            f"a rate study needs replications >= {REPLICATION_FLOOR} for a slope "
+            f"claim (got {replications})")
+    if values is not None:
+        values = np.asarray(values, dtype=float)
+        if values.size < 4 or not np.all(np.diff(values) > 0):
+            raise ConfigurationError(
+                "sweep grid must be strictly increasing with >= 4 points")
 
 
 class LoglogFit(NamedTuple):
@@ -79,64 +89,53 @@ def fit_loglog_slope(xs, ys) -> LoglogFit:
 
 @dataclass
 class ConvergenceReport:
-    """One swept axis: errors, their uncertainty, and the fitted rate."""
+    """One swept axis: its raw table, and the errors and rate derived from it.
+
+    The inputs are ``axis``, ``values``, ``raw``, ``statistic``,
+    ``theory_slope``, ``notes`` and ``g_hat``.  ``errors``, ``stderrs``,
+    ``replications``, ``slope``, ``intercept`` and ``slope_half_width`` are
+    derived from ``raw``, so the report cannot disagree with its own table.
+    """
 
     axis: str
     values: Array
-    errors: Array
-    stderrs: Array
-    replications: int
+    raw: Array  # (replications, len(values)) squared errors
     statistic: str  # "mse" or "rmse"
-    slope: float
-    intercept: float
-    slope_half_width: float
     theory_slope: float
-    raw: Array  # (replications, len(values)); enough to refit the slope
     notes: str = ""
     g_hat: float | None = None
+    errors: Array = field(init=False)
+    stderrs: Array = field(init=False)
+    replications: int = field(init=False)
+    slope: float = field(init=False)
+    intercept: float = field(init=False)
+    slope_half_width: float = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.errors = np.asarray(self.errors, dtype=float)
-        self.stderrs = np.asarray(self.stderrs, dtype=float)
         self.raw = np.asarray(self.raw, dtype=float)
         if self.axis not in AXES:
             raise ConfigurationError(f"axis must be one of {AXES}")
-        check_sweep_grid(self.values)
-        if self.replications < REPLICATION_FLOOR:
-            raise ConfigurationError(
-                f"slope claims need at least {REPLICATION_FLOOR} replications")
-        if self.raw.shape != (self.replications, self.values.size):
+        if self.raw.ndim != 2 or self.raw.shape[1] != self.values.size:
             raise ConfigurationError("raw data must be (replications, len(values))")
+        self.replications = self.raw.shape[0]
+        check_slope_claim(self.replications, self.values)
+        mse = self.raw.mean(axis=0)
+        mse_se = self.raw.std(axis=0, ddof=1) / math.sqrt(self.replications)
+        if self.statistic == "mse":
+            self.errors, self.stderrs = mse, mse_se
+        elif self.statistic == "rmse":
+            self.errors = np.sqrt(mse)
+            self.stderrs = mse_se / (2.0 * np.maximum(self.errors, 1e-300))
+        else:
+            raise ConfigurationError("statistic must be 'mse' or 'rmse'")
+        self.slope, self.intercept, self.slope_half_width = \
+            fit_loglog_slope(self.values, self.errors)
 
     def to_dict(self) -> dict:
         """Every field but ``raw``, which ``save_report`` writes as a table."""
         return {key: value.tolist() if isinstance(value, np.ndarray) else value
                 for key, value in asdict(self).items() if key != "raw"}
-
-
-def _report_from_raw(axis: str, values, raw: Array, statistic: str,
-                     theory: float, notes: str = "",
-                     g_hat: float | None = None) -> ConvergenceReport:
-    """Ordered reduce from per-replication squared errors to the fitted rate."""
-    raw = np.asarray(raw, dtype=float)
-    reps = raw.shape[0]
-    mse = raw.mean(axis=0)
-    mse_se = raw.std(axis=0, ddof=1) / math.sqrt(reps)
-    if statistic == "mse":
-        errors, stderrs = mse, mse_se
-    elif statistic == "rmse":
-        errors = np.sqrt(mse)
-        stderrs = mse_se / (2.0 * np.maximum(errors, 1e-300))
-    else:
-        raise ConfigurationError("statistic must be 'mse' or 'rmse'")
-    fit = fit_loglog_slope(values, errors)
-    return ConvergenceReport(
-        axis=axis, values=np.asarray(values, dtype=float), errors=errors,
-        stderrs=stderrs, replications=reps, statistic=statistic,
-        slope=fit.slope, intercept=fit.intercept,
-        slope_half_width=fit.half_width, theory_slope=theory,
-        raw=raw, notes=notes, g_hat=g_hat)
 
 
 # The jobs of the pool this worker process was forked for.
@@ -215,6 +214,7 @@ def kde_rate_study(sample_counts=(250, 1000, 4000, 16000), dim: int = 1,
     estimator itself.
     """
     counts = sorted(int(n) for n in sample_counts)
+    check_slope_claim(replications, counts)
     truth = (2.0 * math.pi) ** (-dim / 2.0)
     query = np.zeros((1, dim))
 
@@ -228,8 +228,9 @@ def kde_rate_study(sample_counts=(250, 1000, 4000, 16000), dim: int = 1,
 
     raw = np.stack(_run_jobs([lambda r=r: one_rep(r) for r in range(replications)],
                              threads))
-    return _report_from_raw("L", counts, raw, "mse", -mse_rate_exponent(dim),
-                            notes=f"standard normal target, dim={dim}, query at origin")
+    return ConvergenceReport(axis="L", values=counts, raw=raw, statistic="mse",
+                             theory_slope=-mse_rate_exponent(dim),
+                             notes=f"standard normal target, dim={dim}, query at origin")
 
 
 def _probe_points(mean: float, std: float) -> Array:
@@ -257,6 +258,7 @@ def prediction_rate_study(mc_counts=(16, 64, 256, 1024), replications: int = 200
     if model.dim_state != 1:
         raise ConfigurationError("prediction study needs a scalar-state model")
     counts = sorted(int(m) for m in mc_counts)
+    check_slope_claim(replications, counts)
     mean0, std0 = _initial_moments(model, "prediction")
     probes = _probe_points(mean0, std0)
     t_k = dt
@@ -280,9 +282,10 @@ def prediction_rate_study(mc_counts=(16, 64, 256, 1024), replications: int = 200
 
     raw = np.stack(_run_jobs([lambda r=r: one_rep(r) for r in range(replications)],
                              threads))
-    return _report_from_raw("M", counts, raw, "mse", -1.0,
-                            notes="one-step explicit prediction vs quadrature",
-                            g_hat=g_hat)
+    return ConvergenceReport(axis="M", values=counts, raw=raw, statistic="mse",
+                             theory_slope=-1.0,
+                             notes="one-step explicit prediction vs quadrature",
+                             g_hat=g_hat)
 
 
 def denominator_rate_study(particle_counts=(100, 1000, 10000, 100000),
@@ -294,6 +297,7 @@ def denominator_rate_study(particle_counts=(100, 1000, 10000, 100000),
     if model.dim_state != 1 or model.dim_obs != 1:
         raise ConfigurationError("denominator study needs scalar state and observation")
     counts = sorted(int(n) for n in particle_counts)
+    check_slope_claim(replications, counts)
     mean0, std0 = _initial_moments(model, "denominator")
     # a fixed, mildly informative observation increment
     obs_prev = np.zeros(1)
@@ -306,15 +310,15 @@ def denominator_rate_study(particle_counts=(100, 1000, 10000, 100000),
         for j, n in enumerate(counts):
             rng = substream(seed, "den-rate", rep, j)
             locations = model.initial_sampler(n, rng)
-            cloud = ParticleCloud(k=1, locations=locations,
-                                  values=np.ones(n), stage="prior")
+            cloud = ParticleCloud(locations=locations, values=np.ones(n), stage="prior")
             out[j] = (denominator_mc(cloud, lik) - truth) ** 2
         return out
 
     raw = np.stack(_run_jobs([lambda r=r: one_rep(r) for r in range(replications)],
                              threads))
-    return _report_from_raw("N", counts, raw, "rmse", -0.5,
-                            notes="likelihood normalizer vs quadrature integral")
+    return ConvergenceReport(axis="N", values=counts, raw=raw, statistic="rmse",
+                             theory_slope=-0.5,
+                             notes="likelihood normalizer vs quadrature integral")
 
 
 def dt_rate_study(step_sizes=(0.1, 0.05, 0.025, 0.0125), replications: int = 2000,
@@ -336,6 +340,7 @@ def dt_rate_study(step_sizes=(0.1, 0.05, 0.025, 0.0125), replications: int = 200
     if theta <= 0:
         raise ConfigurationError("step-size study needs mean reversion (theta > 0)")
     dts = sorted(float(h) for h in step_sizes)
+    check_slope_claim(replications, dts)
     x0 = float(lin.mean0[0]) + math.sqrt(float(lin.cov0[0, 0]))
 
     def one_dt(j: int) -> Array:
@@ -353,8 +358,8 @@ def dt_rate_study(step_sizes=(0.1, 0.05, 0.025, 0.0125), replications: int = 200
 
     sq_by_dt = _run_jobs([lambda j=j: one_dt(j) for j in range(len(dts))], threads)
     raw = np.stack(sq_by_dt, axis=1)
-    return _report_from_raw(
-        "dt", dts, raw, "rmse", 1.0,
+    return ConvergenceReport(
+        axis="dt", values=dts, raw=raw, statistic="rmse", theory_slope=1.0,
         notes=("explicit vs exact coupled paths; time-only diffusion makes the "
                "explicit scheme coincide with the higher-order scheme, so the "
                "additive-noise slope is near 1 (guaranteed floor 0.5)"))
@@ -473,18 +478,11 @@ def load_config(path) -> ExperimentConfig:
 def run_rate_study(axis: str, cfg: ExperimentConfig) -> ConvergenceReport:
     """Sweep ``axis`` over ``cfg.sweep.values``, or the study's own grid if empty.
 
-    Fewer than ``REPLICATION_FLOOR`` replications are refused before any
-    work, and so is a given grid that ``check_sweep_grid`` refuses.
+    What ``check_slope_claim`` refuses is refused before the model is built.
     """
     if axis not in AXES:
         raise ConfigurationError(f"axis must be one of {AXES}")
-    if cfg.replications < REPLICATION_FLOOR:
-        raise ConfigurationError(
-            f"a rate study needs replications >= {REPLICATION_FLOOR} for a slope "
-            f"claim (got {cfg.replications}); pass --replications {REPLICATION_FLOOR} "
-            f"or more")
-    if cfg.sweep.values:
-        check_sweep_grid(cfg.sweep.values)
+    check_slope_claim(cfg.replications, cfg.sweep.values or None)
     model = get_model(cfg.model)
     sweep = (cfg.sweep.values,) if cfg.sweep.values else ()
     common = {"seed": cfg.seed, "threads": cfg.threads, "replications": cfg.replications}
@@ -638,11 +636,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
 
     Every replication is an independent deterministic job keyed by the
     experiment seed; ``cfg.threads`` worker processes run them, and output
-    files are identical for any worker count.  The model name and the filter
-    settings are checked before anything is written.
+    files are identical for any worker count.  The model name, the filter
+    settings, the model's drift divergence and, for a linear model, the step
+    bound of the right-point recursion are checked before anything is written.
     """
     model = get_model(cfg.model)
     fcfg = cfg.filter_config()
+    check_drift_divergence(model)
+    check_contraction(model, fcfg.predict, fcfg.grid.max_dt)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", cfg.to_dict())

@@ -92,7 +92,6 @@ class StateSpaceModel:
     initial_density: Callable[[Array], Array]
     initial_sampler: Callable[[int, np.random.Generator], Array]
     drift_divergence: Callable[[Array], Array] | None = None
-    name: str = "custom"
     linear: LinearGaussian | None = None
 
     def __post_init__(self):
@@ -311,7 +310,6 @@ def _linear_gaussian_model(name: str, lin: LinearGaussian) -> StateSpaceModel:
         obs_noise=lambda t: lin.obs_noise,
         initial_density=density,
         initial_sampler=sampler,
-        name=name,
         linear=lin,
     )
 
@@ -355,7 +353,6 @@ def make_doublewell1d() -> StateSpaceModel:
         obs_noise=lambda t: np.array([[r]]),
         initial_density=density,
         initial_sampler=sampler,
-        name="doublewell1d",
     )
 
 

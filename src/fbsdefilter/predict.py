@@ -25,14 +25,13 @@ VARIANTS = ("right_point_fixed_point", "left_point")
 
 @dataclass
 class ParticleCloud:
-    """Locations with attached density values at one time index.
+    """Locations with attached density values.
 
     ``ids`` label particles independently of storage order; all per-particle
     randomness is keyed on them, which makes every stage equivariant under
     permutations of the storage order.
     """
 
-    k: int
     locations: Array
     values: Array
     stage: str
@@ -214,6 +213,5 @@ def predict_cloud(prev_cloud: ParticleCloud, prev_density: Callable[[Array], Arr
             f"{prev_cloud.ids[err.rows][:8].tolist()}{where}") from err
     values = _prior_values(prev_density, model, grid.time(k), forward, dt, bwd_noise,
                            cfg, prev_cloud.ids, where)
-    return ParticleCloud(k=k, locations=forward,
-                         values=np.maximum(values, 0.0), stage="prior",
-                         ids=prev_cloud.ids.copy())
+    return ParticleCloud(locations=forward, values=np.maximum(values, 0.0),
+                         stage="prior", ids=prev_cloud.ids.copy())

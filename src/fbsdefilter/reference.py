@@ -153,10 +153,9 @@ def denominator_oracle(lik: Likelihood, prior_density: Callable[[Array], Array],
 
 @dataclass
 class GridFilterResult:
-    """Posterior densities of the discrete-time chain on a fixed grid."""
+    """Posterior means and stds of the discrete-time chain, from a fixed grid."""
 
     xs: Array
-    posteriors: Array  # (steps + 1, GRID_NODES)
     means: Array
     stds: Array
 
@@ -256,4 +255,4 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid,
     means = np.trapezoid(posteriors * xs[None, :], xs, axis=1)
     seconds = np.trapezoid(posteriors * xs[None, :] ** 2, xs, axis=1)
     stds = np.sqrt(np.maximum(seconds - means ** 2, 0.0))
-    return GridFilterResult(xs=xs, posteriors=posteriors, means=means, stds=stds)
+    return GridFilterResult(xs=xs, means=means, stds=stds)

@@ -112,7 +112,7 @@ def test_criterion_6_hessian_structure():
         min_eig_ratio = min(min_eig_ratio, float(np.linalg.eigvalsh(h)[0] / norm))
 
     # non-asymptotic curvature after an actual fit with tiny residuals
-    cloud = ParticleCloud(k=1, locations=[[0.25]], values=[0.6], stage="posterior")
+    cloud = ParticleCloud(locations=[[0.25]], values=[0.6], stage="posterior")
     kd_fit, report = sgd_fit(cloud, 1,
                              TrainConfig(sgd_steps=600, rate_weights=0.4),
                              substream(108, "acceptance-hessian-fit"))

@@ -74,7 +74,7 @@ class TestBayesUpdate:
         values = np.asarray(values, dtype=float)
         if locations is None:
             locations = np.linspace(-1, 1, values.size)[:, None]
-        return ParticleCloud(k=1, locations=locations, values=values, stage="prior")
+        return ParticleCloud(locations=locations, values=values, stage="prior")
 
     def test_uniform_likelihood_preserves_values(self):
         prior = self._prior([0.3, 0.8, 1.2])
@@ -128,9 +128,9 @@ class TestBayesUpdate:
         n = 32
         locations = rng.standard_normal((n, 1))
         values = np.abs(rng.standard_normal(n)) + 0.05
-        prior = ParticleCloud(k=1, locations=locations, values=values, stage="prior")
+        prior = ParticleCloud(locations=locations, values=values, stage="prior")
         perm = rng.permutation(n)
-        shuffled = ParticleCloud(k=1, locations=locations[perm], values=values[perm],
+        shuffled = ParticleCloud(locations=locations[perm], values=values[perm],
                                  stage="prior", ids=np.arange(n)[perm])
         lik = make_likelihood(obs_now=0.3)
         base = bayes_update(prior, lik)
@@ -144,14 +144,14 @@ class TestBayesUpdate:
             bayes_update(prior, lik)
 
     def test_posterior_stage_required(self):
-        cloud = ParticleCloud(k=1, locations=[[0.0]], values=[1.0], stage="posterior")
+        cloud = ParticleCloud(locations=[[0.0]], values=[1.0], stage="posterior")
         with pytest.raises(ConfigurationError):
             bayes_update(cloud, make_likelihood())
 
 
 class TestDenominator:
     def test_constant_likelihood(self):
-        prior = ParticleCloud(k=1, locations=[[0.0], [2.0], [5.0]],
+        prior = ParticleCloud(locations=[[0.0], [2.0], [5.0]],
                               values=[1.0, 1.0, 1.0], stage="prior")
         lik = make_likelihood(obs_map=lambda x: 0.0 * np.asarray(x, dtype=float),
                               obs_prev=0.1, obs_now=0.1, dt=0.5, noise=2.0)
@@ -160,7 +160,7 @@ class TestDenominator:
 
     def test_two_particle_hand_value(self):
         import fbsdefilter.bayes as bayes_mod
-        prior = ParticleCloud(k=1, locations=[[0.0], [1.0]], values=[1.0, 1.0],
+        prior = ParticleCloud(locations=[[0.0], [1.0]], values=[1.0, 1.0],
                               stage="prior")
         orig = bayes_mod._cloud_likelihoods
         bayes_mod._cloud_likelihoods = lambda cloud, lk: np.array([1.0, 3.0])
@@ -181,7 +181,7 @@ class TestDenominator:
             sq = []
             for rep in range(60):
                 locs = model.initial_sampler(n, substream(4, "denom-rate", j, rep))
-                cloud = ParticleCloud(k=1, locations=locs, values=np.ones(n),
+                cloud = ParticleCloud(locations=locs, values=np.ones(n),
                                       stage="prior")
                 sq.append((denominator_mc(cloud, lik) - truth) ** 2)
             rmses.append(math.sqrt(np.mean(sq)))

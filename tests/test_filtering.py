@@ -11,7 +11,6 @@ from fbsdefilter.errors import ConfigurationError, FilterError
 from fbsdefilter.filtering import (
     FilterConfig,
     FilterState,
-    _metropolis,
     bootstrap_pf,
     initialize,
     kalman_filter,
@@ -142,7 +141,7 @@ def per_particle_metropolis(cloud, kd, stream_for):
 class TestMetropolisResample:
     def _cloud(self, locations):
         locations = np.atleast_2d(np.asarray(locations, dtype=float))
-        return ParticleCloud(k=1, locations=locations,
+        return ParticleCloud(locations=locations,
                              values=np.ones(locations.shape[0]), stage="posterior")
 
     def test_proposals_toward_mode_always_accepted(self):
@@ -184,7 +183,7 @@ class TestMetropolisResample:
             np.r_[np.abs(rng.standard_normal(5)) + 0.2, -4.0],
             np.r_[np.abs(rng.standard_normal(5)) * 0.4 + 0.5, 0.8])
         n = 500
-        cloud = ParticleCloud(k=1, locations=1.5 * rng.standard_normal((n, 2)),
+        cloud = ParticleCloud(locations=1.5 * rng.standard_normal((n, 2)),
                               values=np.ones(n), stage="posterior",
                               ids=rng.permutation(n) + 1000)
 
@@ -194,7 +193,8 @@ class TestMetropolisResample:
         want_locations, want_values, want_rate = per_particle_metropolis(
             cloud, kd, streams)
         out = metropolis_resample(cloud, kd, streams)
-        _, rate = _metropolis(cloud, kd, streams)
+        # step() records the share of particles the move relocated
+        rate = np.any(out.locations != cloud.locations, axis=1).sum() / n
         assert out.locations.tobytes() == want_locations.tobytes()
         assert out.values.tobytes() == want_values.tobytes()
         assert rate == want_rate and 0.0 < rate < 1.0
@@ -239,7 +239,7 @@ class TestStep:
                            n_kernels=8, sgd_steps=300)
         state = initialize(model, cfg)
         perm = substream(7, "perm").permutation(cfg.n_particles)
-        shuffled = ParticleCloud(k=0, locations=state.cloud.locations[perm],
+        shuffled = ParticleCloud(locations=state.cloud.locations[perm],
                                  values=state.cloud.values[perm], stage="posterior",
                                  ids=state.cloud.ids[perm])
         shuffled_state = type(state)(k=0, cloud=shuffled, density=state.density)
@@ -322,7 +322,7 @@ class TestRunFilter:
                          [np.pi, 2.0 ** 60], [-np.inf, np.nan]]
         values, ids = rng.random(40), rng.permutation(40) + 2 ** 40
         for n_rows in (40, 1, 0):
-            cloud = ParticleCloud(k=4, locations=locations[:n_rows], values=values[:n_rows],
+            cloud = ParticleCloud(locations=locations[:n_rows], values=values[:n_rows],
                                   stage="posterior", ids=ids[:n_rows])
             write_checkpoint(FilterState(k=4, cloud=cloud, density=None), tmp_path)
             write_csv_rows(tmp_path / "rows.csv", ["index", "x0", "x1", "value"],

@@ -22,8 +22,10 @@ from fbsdefilter.harness import (
     SweepSettings,
     _run_jobs,
     config_from_dict,
+    dt_rate_study,
     estimate_recurrence_coefficient,
     fit_loglog_slope,
+    kde_rate_study,
     load_config,
     run_experiment,
     run_rate_study,
@@ -73,30 +75,32 @@ class TestConvergenceReport:
         return np.abs(substream(2, "report-raw").standard_normal((reps, n_vals))) + 0.1
 
     def test_validation_rules(self):
-        good = dict(axis="M", values=[1, 2, 4, 8], errors=[1, 1, 1, 1],
-                    stderrs=[0.1] * 4, replications=60, statistic="mse",
-                    slope=-1.0, intercept=0.0, slope_half_width=0.1,
-                    theory_slope=-1.0, raw=self._raw(4))
+        good = dict(axis="M", values=[1, 2, 4, 8], raw=self._raw(4), statistic="mse",
+                    theory_slope=-1.0)
         ConvergenceReport(**good)
         with pytest.raises(ConfigurationError, match="increasing"):
             ConvergenceReport(**{**good, "values": [8, 4, 2, 1]})
         with pytest.raises(ConfigurationError, match="4 points"):
-            ConvergenceReport(**{**good, "values": [1, 2, 4],
-                                 "errors": [1, 1, 1], "stderrs": [0.1] * 3,
-                                 "raw": self._raw(3)})
+            ConvergenceReport(**{**good, "values": [1, 2, 4], "raw": self._raw(3)})
         with pytest.raises(ConfigurationError, match="replications"):
-            ConvergenceReport(**{**good, "replications": 10,
-                                 "raw": self._raw(4, reps=10)})
+            ConvergenceReport(**{**good, "raw": self._raw(4, reps=10)})
+        for raw in (self._raw(5), self._raw(4)[:, 0]):
+            with pytest.raises(ConfigurationError, match=re.escape("(replications, len")):
+                ConvergenceReport(**{**good, "raw": raw})
 
     def test_save_report_files(self, tmp_path):
         report = ConvergenceReport(
-            axis="N", values=[1, 2, 4, 8], errors=[1.0, 0.7, 0.5, 0.35],
-            stderrs=[0.01] * 4, replications=50, statistic="rmse", slope=-0.5,
-            intercept=0.0, slope_half_width=0.05, theory_slope=-0.5,
-            raw=self._raw(4, reps=50))
+            axis="N", values=[1, 2, 4, 8], raw=self._raw(4, reps=50), statistic="rmse",
+            theory_slope=-0.5)
         save_report(report, tmp_path)
         payload = json.loads((tmp_path / "rates_N.json").read_text())
-        assert payload["slope"] == -0.5
+        # the fitted line is the one through the report's own table
+        fit = fit_loglog_slope(report.values, np.sqrt(report.raw.mean(axis=0)))
+        assert payload["slope"] == fit.slope
+        assert payload["replications"] == 50
+        with pytest.raises(TypeError):
+            ConvergenceReport(axis="N", values=[1, 2, 4, 8], raw=report.raw,
+                              statistic="rmse", theory_slope=-0.5, slope=-0.5)
         lines = (tmp_path / "rates_N_raw.csv").read_text().splitlines()
         assert lines[0] == "replication,axis_value,squared_error"
         assert len(lines) == 1 + 50 * 4
@@ -131,6 +135,18 @@ class TestRunRateStudy:
         report = run_rate_study("M", cfg)
         refit = fit_loglog_slope(report.values, report.raw.mean(axis=0))
         assert refit.slope == pytest.approx(report.slope, rel=1e-12)
+
+    @pytest.mark.parametrize("study, kwargs, message", [
+        (kde_rate_study, {"replications": 10}, "replications >= 50"),
+        (dt_rate_study, {"step_sizes": (0.1, 0.05, 0.025)}, "4 points"),
+    ], ids=["replications", "grid"])
+    def test_study_refuses_before_its_first_job(self, monkeypatch, study, kwargs,
+                                                message):
+        def no_jobs(jobs, workers):
+            raise AssertionError("a job ran before the study was checked")
+        monkeypatch.setattr("fbsdefilter.harness._run_jobs", no_jobs)
+        with pytest.raises(ConfigurationError, match=message):
+            study(**kwargs)
 
 
 class TestRecurrenceDiagnostic:
@@ -462,7 +478,10 @@ class TestCli:
         ('{"filter": {"variant": "bogus"}}', "variant must be one of"),
         ('{"filter": {"n_kernels": 500}}', "need 1 <= n_kernels <= n_particles"),
         ('{"grid": {"steps": 0}}', "steps must be >= 1"),
-    ], ids=["variant", "n_kernels", "steps"])
+        # linear1d's divergence bound 0.5 times dt = 10 breaks the right-point
+        # recursion's step bound
+        ('{"grid": {"horizon": 20.0, "steps": 2}}', "dt * divergence bound = 5 >= 0.5"),
+    ], ids=["variant", "n_kernels", "steps", "step_bound"])
     def test_bad_filter_settings_exit_before_any_output(self, tmp_path, capsys, text,
                                                         message):
         bad = tmp_path / "bad5.json"
@@ -471,6 +490,21 @@ class TestCli:
         assert cli_main(["filter", "--config", str(bad), "--replications", "2",
                          "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_with_a_wrong_divergence_exits_before_any_output(self, tmp_path,
+                                                                   capsys):
+        register_model("wrong-divergence", lambda: make_model_1d(
+            drift=lambda x: -np.asarray(x, dtype=float),
+            divergence=lambda x: np.full(np.asarray(x).shape[:-1], 2.0)))
+        out = tmp_path / "out"
+        try:
+            assert cli_main(["filter", "--model", "wrong-divergence",
+                             "--replications", "2", "--out", str(out)]) == 2
+        finally:
+            MODEL_ZOO.pop("wrong-divergence")
+        assert "error: drift_divergence disagrees with finite differences" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_rates_below_replication_floor_exits_nonzero(self, tmp_path, capsys):

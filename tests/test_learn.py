@@ -145,7 +145,7 @@ class TestLossAndGradients:
 
 class TestSgdFit:
     def _cloud_from(self, locations, values):
-        return ParticleCloud(k=1, locations=locations, values=values, stage="posterior")
+        return ParticleCloud(locations=locations, values=values, stage="posterior")
 
     def test_exact_fixed_point_keeps_parameters(self):
         # a component centred on the one pair with the pair's value as weight
@@ -192,9 +192,9 @@ class TestSgdFit:
         n = 60
         locations = rng.standard_normal((n, 1))
         values = np.abs(rng.standard_normal(n)) + 0.1
-        cloud = ParticleCloud(k=1, locations=locations, values=values, stage="posterior")
+        cloud = ParticleCloud(locations=locations, values=values, stage="posterior")
         perm = rng.permutation(n)
-        shuffled = ParticleCloud(k=1, locations=locations[perm], values=values[perm],
+        shuffled = ParticleCloud(locations=locations[perm], values=values[perm],
                                  stage="posterior", ids=np.arange(n)[perm])
         cfg = TrainConfig(sgd_steps=400)
         kd_a, _ = sgd_fit(cloud, 8, cfg, substream(15, "fit-perm-run"))
@@ -217,7 +217,7 @@ class TestSgdFit:
         rng = substream(23, "fit-ref", dim)
         locations = rng.standard_normal((n, dim))
         values = np.exp(-(locations * locations).sum(axis=1)) + 0.05
-        cloud = ParticleCloud(k=1, locations=locations, values=values,
+        cloud = ParticleCloud(locations=locations, values=values,
                               stage="posterior", ids=rng.permutation(n))
         cfg = TrainConfig(sgd_steps=steps, rate_bandwidths=rate_b)
         kd, report = sgd_fit(cloud, n_kernels, cfg, substream(24, "fit-ref-run", dim))
@@ -258,7 +258,7 @@ class TestSgdFit:
         # weights and every later residual stay finite, since an infinite
         # bandwidth gives a bump of one and a bandwidth gradient of zero
         rng = substream(8, "fit-bw-overflow")
-        cloud = ParticleCloud(k=1, locations=rng.standard_normal((60, 1)),
+        cloud = ParticleCloud(locations=rng.standard_normal((60, 1)),
                               values=30.0 * (np.abs(rng.standard_normal(60)) + 0.1),
                               stage="posterior")
         cfg = TrainConfig(sgd_steps=steps, rate_bandwidths=1e308)
@@ -306,7 +306,7 @@ class TestHessian:
         assert np.linalg.eigvalsh(h)[0] >= -1e-10 * norm
 
     def test_full_hessian_near_fit_is_almost_psd(self):
-        cloud = ParticleCloud(k=1, locations=[[0.3]], values=[0.8], stage="posterior")
+        cloud = ParticleCloud(locations=[[0.3]], values=[0.8], stage="posterior")
         kd, report = sgd_fit(cloud, 1, TrainConfig(sgd_steps=600, rate_weights=0.4),
                              substream(21, "hess-fit"))
         assert report.final_loss < 1e-6

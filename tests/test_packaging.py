@@ -126,6 +126,20 @@ def test_generators_are_built_only_in_rngs():
     assert offenders == []
 
 
+def test_step_calls_only_public_functions():
+    # ROADMAP item 7: the benchmark can call only public names, so step() is
+    # to be a sequence of public stages that it can call in the same order
+    package = Path(fbsdefilter.__file__).resolve().parent
+    tree = ast.parse((package / "filtering.py").read_text(encoding="utf-8"))
+    step = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "step")
+    called = [(call.lineno, getattr(call.func, "id", getattr(call.func, "attr", "")))
+              for call in ast.walk(step) if isinstance(call, ast.Call)]
+    private = [f"filtering.py:{line}: {name}" for line, name in called
+               if name.startswith("_")]
+    assert private == []
+
+
 def _imported_names(tree: ast.AST) -> dict[str, int]:
     """Names bound by the imports of a module, with the line of each."""
     out = {}

@@ -264,7 +264,7 @@ class TestPredictCloud:
     def test_static_single_particle_keeps_density_value(self):
         model = make_model_1d(drift=lambda x: 0.0 * np.asarray(x, dtype=float), sigma=0.0)
         f = gauss_density(0.0, 1.0)
-        cloud = ParticleCloud(k=0, locations=[[0.6]], values=[0.2], stage="posterior")
+        cloud = ParticleCloud(locations=[[0.6]], values=[0.2], stage="posterior")
         out = predict_cloud(cloud, f, model, self._grid(), 1,
                             PredictConfig(mc_samples=4), seed=0)
         assert out.stage == "prior"
@@ -277,9 +277,9 @@ class TestPredictCloud:
         n = 40
         locations = rng.standard_normal((n, 1))
         values = np.abs(rng.standard_normal(n))
-        cloud = ParticleCloud(k=0, locations=locations, values=values, stage="posterior")
+        cloud = ParticleCloud(locations=locations, values=values, stage="posterior")
         perm = rng.permutation(n)
-        shuffled = ParticleCloud(k=0, locations=locations[perm], values=values[perm],
+        shuffled = ParticleCloud(locations=locations[perm], values=values[perm],
                                  stage="posterior", ids=np.arange(n)[perm])
         f = gauss_density(0.0, 1.0)
         cfg = PredictConfig(mc_samples=8)
@@ -298,7 +298,7 @@ class TestPredictCloud:
             model = get_model(name)
             d_w = model.dim_noise
             rng = substream(15, "cloud-scalar", model.dim_state)
-            cloud = ParticleCloud(k=0, locations=rng.standard_normal((n, model.dim_state)),
+            cloud = ParticleCloud(locations=rng.standard_normal((n, model.dim_state)),
                                   values=np.abs(rng.standard_normal(n)), stage="posterior")
             for variant in ("right_point_fixed_point", "left_point"):
                 cfg = PredictConfig(mc_samples=16, variant=variant)
@@ -318,7 +318,7 @@ class TestPredictCloud:
         prev = model.initial_density
         n, m = 64, 1024
         locations = model.initial_sampler(n, substream(16, "cloud-quad-init"))
-        cloud = ParticleCloud(k=0, locations=locations,
+        cloud = ParticleCloud(locations=locations,
                               values=prev(locations), stage="posterior")
         cfg = PredictConfig(mc_samples=m, variant="left_point")
         out = predict_cloud(cloud, prev, model, grid, 1, cfg, seed=77)
@@ -343,7 +343,7 @@ class TestPredictCloud:
         prev = model.initial_density
         n, m = 64, 1024
         locations = model.initial_sampler(n, substream(17, "cloud-quad-right-init"))
-        cloud = ParticleCloud(k=0, locations=locations,
+        cloud = ParticleCloud(locations=locations,
                               values=prev(locations), stage="posterior")
         cfg = PredictConfig(mc_samples=m)
         out = predict_cloud(cloud, prev, model, grid, 1, cfg, seed=78)
@@ -363,14 +363,14 @@ class TestPredictCloud:
 
     def test_mismatched_density_shape_rejected(self):
         model = get_model("linear1d")
-        cloud = ParticleCloud(k=0, locations=[[0.0]], values=[1.0], stage="posterior")
+        cloud = ParticleCloud(locations=[[0.0]], values=[1.0], stage="posterior")
         with pytest.raises(ConfigurationError, match="values"):
             predict_cloud(cloud, lambda pts: np.ones((len(pts), 2)), model,
                           self._grid(), 1, PredictConfig(mc_samples=4), seed=0)
 
 
     def _cloud(self, locations, ids):
-        return ParticleCloud(k=0, locations=locations, values=np.ones(len(ids)),
+        return ParticleCloud(locations=locations, values=np.ones(len(ids)),
                              stage="posterior", ids=ids)
 
     def test_nonfinite_density_at_forward_location_names_particle(self):
@@ -440,7 +440,7 @@ class TestPredictCloud:
 class TestParticleCloud:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            ParticleCloud(k=0, locations=[[0.0], [1.0]], values=[1.0], stage="prior")
+            ParticleCloud(locations=[[0.0], [1.0]], values=[1.0], stage="prior")
 
     @pytest.mark.parametrize("locations, values", [
         (np.array([0.1, 0.2, 0.3]), np.ones(3)),  # not one particle in 3-d
@@ -448,15 +448,15 @@ class TestParticleCloud:
     ])
     def test_locations_other_than_n_by_dim_rejected(self, locations, values):
         with pytest.raises(ConfigurationError, match=r"\(n, dim\)"):
-            ParticleCloud(k=0, locations=locations, values=values, stage="prior")
+            ParticleCloud(locations=locations, values=values, stage="prior")
 
     def test_negative_values_rejected(self):
         with pytest.raises(ConfigurationError):
-            ParticleCloud(k=0, locations=[[0.0]], values=[-0.1], stage="prior")
+            ParticleCloud(locations=[[0.0]], values=[-0.1], stage="prior")
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigurationError):
-            ParticleCloud(k=0, locations=[[0.0], [1.0]], values=[1.0, 2.0],
+            ParticleCloud(locations=[[0.0], [1.0]], values=[1.0, 2.0],
                           stage="prior", ids=[3, 3])
 
     def test_config_validation(self):

@@ -91,7 +91,7 @@ def _drift_from_dense(model, grid, obs):
 def _ramped_doublewell():
     """The double well with a diffusion that grows in time: equal step
     lengths then still have different transition variances."""
-    return dataclasses.replace(get_model("doublewell1d"), name="doublewell1d-ramp",
+    return dataclasses.replace(get_model("doublewell1d"),
                                diffusion=lambda t: np.array([[0.3 + 0.4 * t]]))
 
 
