@@ -184,10 +184,7 @@ def run_filter(model: StateSpaceModel, observations: Array, cfg: FilterConfig,
     ``observations`` has one row per grid knot (row 0 is the starting value
     of the cumulative observation; the filter never generates data itself).
     """
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    if observations.shape[0] != cfg.grid.steps + 1:
-        raise ConfigurationError(
-            f"need {cfg.grid.steps + 1} observation rows, got {observations.shape[0]}")
+    observations = cfg.grid.observation_rows(observations)
     state = initialize(model, cfg)
     states = [state]
     if on_step is not None:
@@ -255,7 +252,7 @@ def kalman_filter(linear, grid: TimeGrid, observations: Array) -> KalmanResult:
     """
     if linear is None:
         raise ConfigurationError("model has no linear-Gaussian coefficients")
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    observations = grid.observation_rows(observations)
     d = linear.mean0.size
     means = np.empty((grid.steps + 1, d))
     covs = np.empty((grid.steps + 1, d, d))
@@ -278,28 +275,30 @@ def kalman_filter(linear, grid: TimeGrid, observations: Array) -> KalmanResult:
 
 @dataclass
 class BootstrapResult:
-    particles: Array  # (steps + 1, n, d), pre-resample
-    weights: Array    # (steps + 1, n), normalized
-    means: Array
-    ess: Array
+    """Weighted moments of each step's cloud before resampling, and its ESS."""
+
+    means: Array  # (steps + 1, d)
+    stds: Array   # (steps + 1, d)
+    ess: Array    # (steps + 1,)
 
 
 def bootstrap_pf(model: StateSpaceModel, grid: TimeGrid, observations: Array,
                  n_particles: int, seed: int) -> BootstrapResult:
-    """Plain propagate / weight / multinomially-resample particle filter."""
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    n_steps = grid.steps
-    d = model.dim_state
-    particles = np.empty((n_steps + 1, n_particles, d))
-    weights = np.full((n_steps + 1, n_particles), 1.0 / n_particles)
-    means = np.empty((n_steps + 1, d))
-    ess = np.empty(n_steps + 1)
+    """Plain propagate / weight / multinomially-resample particle filter.
+
+    Only the current cloud is held; each step records its weighted mean and
+    standard deviation per coordinate, and the effective sample size.
+    """
+    if n_particles < 1:
+        raise ConfigurationError("n_particles must be >= 1")
+    observations = grid.observation_rows(observations)
+    means = np.empty((grid.steps + 1, model.dim_state))
+    stds = np.empty_like(means)
+    ess = np.empty(grid.steps + 1)
     current = np.asarray(model.initial_sampler(n_particles, substream(seed, "pf-init")),
                          dtype=float)
-    particles[0] = current
-    means[0] = current.mean(axis=0)
-    ess[0] = n_particles
-    for k in range(1, n_steps + 1):
+    means[0], stds[0], ess[0] = current.mean(axis=0), current.std(axis=0), n_particles
+    for k in range(1, grid.steps + 1):
         dt = grid.dt(k)
         noise = math.sqrt(dt) * substream(seed, "pf-noise", k).standard_normal(
             (n_particles, model.dim_noise))
@@ -308,9 +307,8 @@ def bootstrap_pf(model: StateSpaceModel, grid: TimeGrid, observations: Array,
                          model.obs_noise(grid.time(k)))
         w = np.maximum(likelihood_density(lik, current), DENSITY_FLOOR)
         w = w / w.sum()
-        particles[k] = current
-        weights[k] = w
         means[k] = (w[:, None] * current).sum(axis=0)
+        stds[k] = np.sqrt(w @ (current - means[k]) ** 2)
         ess[k] = 1.0 / float((w * w).sum())
         if ess[k] < 0.05 * n_particles:
             warnings.warn(
@@ -320,4 +318,4 @@ def bootstrap_pf(model: StateSpaceModel, grid: TimeGrid, observations: Array,
         idx = np.minimum(np.searchsorted(np.cumsum(w), u, side="right"),
                          n_particles - 1)
         current = current[idx]
-    return BootstrapResult(particles=particles, weights=weights, means=means, ess=ess)
+    return BootstrapResult(means=means, stds=stds, ess=ess)

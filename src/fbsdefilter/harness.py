@@ -22,7 +22,7 @@ import numpy as np
 
 from .artifacts import write_csv, write_json
 from .bayes import DENSITY_FLOOR, Likelihood, denominator_mc, likelihood_density
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FilterError
 from .filtering import FilterConfig, bootstrap_pf, kalman_filter, run_filter, \
     write_checkpoint
 from .kde import KernelDensity, mse_rate_exponent, parzen_estimate
@@ -527,7 +527,7 @@ def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
     2 sqrt(1 + horizon^2 G^2) with G the largest observed drift divergence.
     This is a diagnostic reading of the condition, not a certified bound.
     """
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    observations = grid.observation_rows(observations)
     states = np.asarray(model.initial_sampler(n_samples,
                                               substream(seed, "recur-init")), dtype=float)
     g_hat = float(np.max(np.abs(model.drift_divergence(states))))
@@ -600,25 +600,28 @@ def _run_single_replication(model: StateSpaceModel, cfg: FilterConfig,
                             rep: int, out: Path) -> dict:
     rep_seed = derive_seed(cfg.seed, "replication", rep)
     grid = cfg.grid
-    truth, obs = simulate_truth(model, grid, rep_seed)
     rep_dir = out / f"rep_{rep:03d}"
-    rep_dir.mkdir(parents=True, exist_ok=True)
     fcfg = replace(cfg, seed=rep_seed)
-    states = run_filter(model, obs, fcfg,
-                        on_step=lambda s: write_checkpoint(s, rep_dir))
+    try:
+        truth, obs = simulate_truth(model, grid, rep_seed)
+        rep_dir.mkdir(parents=True, exist_ok=True)
+        states = run_filter(model, obs, fcfg,
+                            on_step=lambda s: write_checkpoint(s, rep_dir))
 
-    moments = [_posterior_mean_std(s) for s in states]
-    post_mean = np.stack([mean for mean, _std in moments])
-    post_std = np.stack([std for _mean, std in moments])
-    pf = bootstrap_pf(model, grid, obs, fcfg.n_particles, rep_seed)
+        moments = [_posterior_mean_std(s) for s in states]
+        post_mean = np.stack([mean for mean, _std in moments])
+        post_std = np.stack([std for _mean, std in moments])
+        pf = bootstrap_pf(model, grid, obs, fcfg.n_particles, rep_seed)
 
-    oracle = {}
-    if model.linear is not None:
-        kal = kalman_filter(model.linear, grid, obs)
-        oracle = {"oracle_mean": kal.means, "oracle_std": kal.stds()}
-    elif model.dim_state == 1:
-        ref = grid_filter(model, grid, obs)
-        oracle = {"oracle_mean": ref.means[:, None], "oracle_std": ref.stds[:, None]}
+        oracle = {}
+        if model.linear is not None:
+            kal = kalman_filter(model.linear, grid, obs)
+            oracle = {"oracle_mean": kal.means, "oracle_std": kal.stds()}
+        elif model.dim_state == 1:
+            ref = grid_filter(model, grid, obs)
+            oracle = {"oracle_mean": ref.means[:, None], "oracle_std": ref.stds[:, None]}
+    except FilterError as err:
+        raise type(err)(f"replication {rep}: {err}") from err
 
     columns = {"k": list(range(grid.steps + 1)), "t": grid.knots.tolist()}
     for prefix, series in (("truth_x", truth), ("obs_o", obs), ("post_mean_x", post_mean),
@@ -639,6 +642,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
     files are identical for any worker count.  The model name, the filter
     settings, the model's drift divergence and, for a linear model, the step
     bound of the right-point recursion are checked before anything is written.
+    A ``FilterError`` raised in a replication is raised again with its message
+    prefixed by ``replication <rep>: ``.
     """
     model = get_model(cfg.model)
     fcfg = cfg.filter_config()

@@ -183,6 +183,14 @@ class TimeGrid:
             raise ConfigurationError(f"step index {k} outside 1..{self.steps}")
         return float(self.knots[k] - self.knots[k - 1])
 
+    def observation_rows(self, observations: Array) -> Array:
+        """``observations`` as a float array, refused unless one row per knot."""
+        observations = np.atleast_2d(np.asarray(observations, dtype=float))
+        if observations.shape[0] != self.steps + 1:
+            raise ConfigurationError(
+                f"need {self.steps + 1} observation rows, got {observations.shape[0]}")
+        return observations
+
 
 def _check_finite_state(x: Array, t: float, origin: Array) -> None:
     finite = np.isfinite(x)

@@ -189,9 +189,9 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid,
     """Exact (to quadrature accuracy) filter for the discretized 1-d chain.
 
     Propagates the density through the one-step Gaussian transition of the
-    explicit scheme and applies the Bayesian update on a fixed grid; serves
-    as ground truth for nonlinear scalar models where no closed-form filter
-    exists.
+    explicit scheme and applies the Bayesian update on a fixed grid, holding
+    only the current density and recording each step's first two moments;
+    serves as ground truth for nonlinear scalar models.
 
     The transition is truncated at ``BAND_SDS`` standard deviations and held
     as slabs of ``GRID_BLOCK_ROWS`` target nodes (see ``_transition_slabs``);
@@ -207,7 +207,7 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid,
     few ulps of the oracle std.
     """
     _require_scalar_state(model, "grid filter")
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    observations = grid.observation_rows(observations)
 
     # deterministic domain probe: a cheap path bundle plus the initial law
     probe_rng = substream(20_240_601, "grid-domain")
@@ -227,8 +227,9 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid,
 
     post = np.asarray(model.initial_density(xs[:, None]), dtype=float)
     post = post / np.trapezoid(post, xs)
-    posteriors = np.empty((grid.steps + 1, GRID_NODES))
-    posteriors[0] = post
+    powers = np.stack([xs, xs ** 2])
+    moments = np.empty((grid.steps + 1, 2))  # mean, second moment
+    moments[0] = np.trapezoid(post * powers, xs)
     prior = np.empty(GRID_NODES)
     built_dt, built_var, slabs = math.nan, math.nan, []
     for k in range(1, grid.steps + 1):
@@ -250,9 +251,8 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid,
         if norm <= 0:
             raise ConfigurationError(f"grid filter lost all mass at step {k}")
         post = post / norm
-        posteriors[k] = post
+        moments[k] = np.trapezoid(post * powers, xs)
 
-    means = np.trapezoid(posteriors * xs[None, :], xs, axis=1)
-    seconds = np.trapezoid(posteriors * xs[None, :] ** 2, xs, axis=1)
+    means, seconds = moments.T
     stds = np.sqrt(np.maximum(seconds - means ** 2, 0.0))
     return GridFilterResult(xs=xs, means=means, stds=stds)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,12 +21,13 @@ from fbsdefilter.filtering import (
     step,
     write_checkpoint,
 )
-from fbsdefilter.harness import _run_jobs
+from fbsdefilter.harness import _run_jobs, estimate_recurrence_coefficient
 from fbsdefilter.kde import KernelDensity
 from fbsdefilter.learn import TrainConfig
 from fbsdefilter.model import MODEL_ZOO, LinearGaussian, TimeGrid, get_model, \
     simulate_truth
 from fbsdefilter.predict import ParticleCloud, PredictConfig
+from fbsdefilter.reference import grid_filter
 from fbsdefilter.rngs import substream
 
 from conftest import load_density, make_model_1d, write_csv_rows
@@ -332,6 +334,29 @@ class TestRunFilter:
                 == (tmp_path / "rows.csv").read_bytes(), n_rows
 
 
+# Every consumer of an observation sequence, called with (model, grid, rows).
+OBSERVATION_CONSUMERS = {
+    "run_filter": lambda model, grid, obs: run_filter(
+        model, obs, small_config(grid, n_particles=20, n_kernels=4, sgd_steps=50)),
+    "bootstrap_pf": lambda model, grid, obs: bootstrap_pf(model, grid, obs, 50, seed=0),
+    "kalman_filter": lambda model, grid, obs: kalman_filter(model.linear, grid, obs),
+    "grid_filter": grid_filter,
+    "estimate_recurrence_coefficient": lambda model, grid, obs:
+        estimate_recurrence_coefficient(model, grid, obs, n_samples=100, n_backward=16),
+}
+
+
+@pytest.mark.parametrize("rows", [5, 7], ids=["short", "long"])
+@pytest.mark.parametrize("consumer", list(OBSERVATION_CONSUMERS))
+def test_observation_rows_must_match_the_grid(consumer, rows):
+    # a short array must not run into an IndexError, nor a long one leave
+    # its surplus rows unread
+    model = get_model("linear1d")
+    grid = TimeGrid.uniform(horizon=0.5, steps=5)
+    with pytest.raises(ConfigurationError, match=f"^need 6 observation rows, got {rows}$"):
+        OBSERVATION_CONSUMERS[consumer](model, grid, np.zeros((rows, 1)))
+
+
 class TestOracleCompetitiveness:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_posterior_mean_rmse_within_band_of_bootstrap_baseline(self):
@@ -414,7 +439,7 @@ class TestBootstrapPf:
         grid = TimeGrid.uniform(horizon=0.5, steps=5)
         obs = np.zeros((6, 1))
         result = bootstrap_pf(model, grid, obs, 500, seed=12)
-        np.testing.assert_allclose(result.weights[1:], 1.0 / 500, rtol=1e-12)
+        # 1 / sum(w^2) reaches N only when every weight equals 1/N
         np.testing.assert_allclose(result.ess[1:], 500.0, rtol=1e-12)
 
     # the particle filter runs the model's maps and Kalman its coefficients,
@@ -432,6 +457,7 @@ class TestBootstrapPf:
             for j in range(model.dim_state):
                 bound = 4.0 * stds[k, j] / math.sqrt(n)
                 assert abs(result.means[k, j] - kal.means[k, j]) < 4.0 * bound
+                assert abs(result.stds[k, j] - stds[k, j]) < 0.1 * stds[k, j]
 
     def test_deterministic_dynamics_and_sharp_obs_concentrate(self):
         model = make_model_1d(drift=lambda x: 0.0 * np.asarray(x, dtype=float),
@@ -441,9 +467,8 @@ class TestBootstrapPf:
         # exact observation increments of a frozen state at truth_value
         obs = truth_value * grid.knots[:, None]
         result = bootstrap_pf(model, grid, obs, 4000, seed=14)
-        spread = result.particles[-1][:, 0].std()
         assert abs(result.means[-1, 0] - truth_value) < 0.1
-        assert spread < 0.2
+        assert result.stds[-1, 0] < 0.2
 
     def test_weight_collapse_warns_with_ess(self):
         model = make_model_1d(drift=lambda x: 0.0 * np.asarray(x, dtype=float),
@@ -452,3 +477,24 @@ class TestBootstrapPf:
         obs = np.array([[0.0], [1.9]])
         with pytest.warns(UserWarning, match="effective sample size"):
             bootstrap_pf(model, grid, obs, 300, seed=15)
+
+    def test_refuses_an_empty_cloud(self):
+        grid = TimeGrid.uniform(horizon=0.5, steps=5)
+        with pytest.raises(ConfigurationError, match="n_particles must be >= 1"):
+            bootstrap_pf(get_model("linear1d"), grid, np.zeros((6, 1)), 0, seed=0)
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        # only the current cloud is held, so 8x the steps stays within 1.25x
+        # of the traced peak; a per-step particle history reads 4x
+        model = get_model("linear2d")
+        peaks = []
+        for steps in (5, 40):
+            grid = TimeGrid.uniform(horizon=0.1 * steps, steps=steps)
+            _truth, obs = simulate_truth(model, grid, seed=16)
+            tracemalloc.start()
+            try:
+                bootstrap_pf(model, grid, obs, 50_000, seed=16)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks

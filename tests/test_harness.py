@@ -393,7 +393,7 @@ def test_pooled_job_error_is_raised_as_in_a_serial_run(tmp_path, steep_decay_mod
             run_experiment(cfg)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
-    assert messages[0].startswith("step 1: fixed-point iteration diverged")
+    assert messages[0].startswith("replication 0: step 1: fixed-point iteration diverged")
     # every replication ran to its failure under either worker count
     files = [sorted(p.relative_to(tmp_path / f"threads{threads}").as_posix()
                     for p in (tmp_path / f"threads{threads}").rglob("*"))
@@ -407,6 +407,34 @@ def test_pooled_job_error_is_raised_as_in_a_serial_run(tmp_path, steep_decay_mod
         return job
     with pytest.raises(ConfigurationError, match="^job 1$"):
         _run_jobs([lambda: 0, failing("job 1"), failing("job 2")], 2)
+
+
+@pytest.fixture
+def nan_initial_model():
+    """linear1d with an initial density that reads NaN: every replication
+    fails when its starting cloud is built."""
+    register_model("nan-initial", lambda: replace(
+        get_model("linear1d"),
+        initial_density=lambda x: np.full(np.asarray(x).shape[:-1], np.nan)))
+    yield "nan-initial"
+    MODEL_ZOO.pop("nan-initial")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_replication_is_named_in_the_error(tmp_path, capsys, nan_initial_model,
+                                                  threads):
+    cfg = ExperimentConfig(
+        model=nan_initial_model, seed=3, out_dir=str(tmp_path / "run"),
+        grid=GridSettings(horizon=0.5, steps=3),
+        filter=FilterSettings(n_particles=100, mc_samples=8, n_kernels=8, sgd_steps=200),
+        replications=2, threads=threads)
+    with pytest.raises(ConfigurationError,
+                       match="^replication 0: particle values must be finite$"):
+        run_experiment(cfg)
+    assert cli_main(["filter", "--model", nan_initial_model, "--replications", "2",
+                     "--threads", str(threads), "--out", str(tmp_path / "cli")]) == 2
+    assert "error: replication 0: particle values must be finite" \
+        in capsys.readouterr().err
 
 
 class TestCli:
