@@ -9,7 +9,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .artifacts import write_csv, write_json
-from .errors import ConfigurationError, FilterError
+from .errors import FilterError
 from .harness import ExperimentConfig, estimate_recurrence_coefficient, load_config, \
     run_experiment, run_rate_study, save_report
 from .model import get_model, simulate_truth
@@ -71,8 +71,7 @@ def _cmd_diagnose(args) -> int:
     payload = {"model": cfg.model, **asdict(diag),
                "per_step_ratios": diag.per_step_ratios.tolist()}
     write_json(out / "recurrence.json", payload)
-    verdict = "< 1 (contracting)" if diag.below_one else ">= 1 (no contraction certificate)"
-    print(f"recurrence estimate {diag.r_hat:.4f} {verdict}")
+    print(f"recurrence estimate {diag.r_hat:.4f}")
     return 0
 
 
@@ -124,7 +123,7 @@ def main(argv=None) -> int:
         print(f"{where}:{err.lineno}:{err.colno}: invalid config: {err.msg}",
               file=sys.stderr)
         return 2
-    except (ConfigurationError, FilterError) as err:
+    except FilterError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

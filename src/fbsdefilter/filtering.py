@@ -91,7 +91,7 @@ def initialize(model: StateSpaceModel, cfg: FilterConfig) -> FilterState:
     locations = model.initial_sampler(cfg.n_particles, substream(cfg.seed, "init"))
     locations = np.asarray(locations, dtype=float)
     if locations.shape != (cfg.n_particles, model.dim_state):
-        raise FilterError(
+        raise ConfigurationError(
             f"initial sampler returned shape {locations.shape}, expected "
             f"{(cfg.n_particles, model.dim_state)}")
     values = np.asarray(model.initial_density(locations), dtype=float)
@@ -148,8 +148,6 @@ def step(state: FilterState, model: StateSpaceModel, obs_prev: Array,
     move relocated: a proposal equal to its incumbent has probability zero.
     """
     k = state.k + 1
-    if k > cfg.grid.steps:
-        raise ConfigurationError(f"step {k} beyond the configured grid ({cfg.grid.steps})")
     try:
         prior = predict_cloud(state.cloud, state.density.eval, model, cfg.grid, k,
                               cfg.predict, cfg.seed)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .artifacts import write_csv, write_json
 from .bayes import DENSITY_FLOOR, Likelihood, denominator_mc, likelihood_density
-from .errors import ConfigurationError, FilterError
+from .errors import ConfigurationError, DegenerateObservationError, FilterError
 from .filtering import FilterConfig, bootstrap_pf, kalman_filter, run_filter, \
     write_checkpoint
 from .kde import KernelDensity, mse_rate_exponent, parzen_estimate
@@ -504,15 +504,11 @@ def run_rate_study(axis: str, cfg: ExperimentConfig) -> ConvergenceReport:
 
 @dataclass
 class RecurrenceDiagnostic:
-    """Per-step error-amplification estimate; below one suggests global decay."""
+    """Error-amplification estimate, largest drift divergence, ratio per step."""
 
     r_hat: float
     g_hat: float
-    ratio_sup: float
-    per_step_ratios: Array  # one per step; after a failure, the steps before it
-    below_one: bool
-    failed: bool = False
-    message: str = ""
+    per_step_ratios: Array
 
 
 def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
@@ -526,6 +522,7 @@ def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
     propagated samples of the running prior.  The result scales the ratio by
     2 sqrt(1 + horizon^2 G^2) with G the largest observed drift divergence.
     This is a diagnostic reading of the condition, not a certified bound.
+    An underflowed forward likelihood mean is a ``DegenerateObservationError``.
     """
     observations = grid.observation_rows(observations)
     states = np.asarray(model.initial_sampler(n_samples,
@@ -542,10 +539,8 @@ def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
                          model.obs_noise(grid.time(k)))
         denom = float(np.mean(likelihood_density(lik, states)))
         if denom <= DENSITY_FLOOR:
-            return RecurrenceDiagnostic(
-                r_hat=math.inf, g_hat=g_hat, ratio_sup=math.inf,
-                per_step_ratios=ratios[:k - 1], below_one=False, failed=True,
-                message=f"forward likelihood mean underflowed at step {k}")
+            raise DegenerateObservationError(
+                f"forward likelihood mean underflowed at step {k}")
         mean_k = states.mean(axis=0)
         std_k = states.std(axis=0)
         best = -math.inf
@@ -560,10 +555,8 @@ def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
                 back = backward_sample(model, grid.time(k), probe, dt, dW)
                 best = max(best, float(np.mean(likelihood_density(lik, back))))
         ratios[k - 1] = best / denom
-    ratio_sup = float(np.max(ratios))
-    r_hat = 2.0 * math.sqrt(1.0 + grid.horizon ** 2 * g_hat ** 2) * ratio_sup
-    return RecurrenceDiagnostic(r_hat=r_hat, g_hat=g_hat, ratio_sup=ratio_sup,
-                                per_step_ratios=ratios, below_one=r_hat < 1.0)
+    r_hat = 2.0 * math.sqrt(1.0 + grid.horizon ** 2 * g_hat ** 2) * float(np.max(ratios))
+    return RecurrenceDiagnostic(r_hat=r_hat, g_hat=g_hat, per_step_ratios=ratios)
 
 
 # --- full experiment ------------------------------------------------------------

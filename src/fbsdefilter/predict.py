@@ -104,7 +104,7 @@ def check_contraction(model: StateSpaceModel, cfg: PredictConfig, dt: float) -> 
 
 
 def _density_values(f: Callable[[Array], Array], points: Array, ids: Array,
-                    what: str, where: str) -> Array:
+                    what: str) -> Array:
     """``f`` at ``(n * m, dim)`` points, m per particle of ``ids``, checked.
 
     A wrong output shape is a configuration error; a non-finite value names
@@ -120,13 +120,13 @@ def _density_values(f: Callable[[Array], Array], points: Array, ids: Array,
         rows = np.unique(bad // (vals.size // ids.size))
         raise FilterError(
             f"density returned non-finite values at the {what} of particle ids "
-            f"{ids[rows][:8].tolist()}{where}, first at {points[bad[0]]}")
+            f"{ids[rows][:8].tolist()}, first at {points[bad[0]]}")
     return vals
 
 
 def _prior_values(f: Callable[[Array], Array], model: StateSpaceModel, t_k: float,
                   anchors: Array, dt: float, noise: Array, cfg: PredictConfig,
-                  ids: Array, where: str = "") -> Array:
+                  ids: Array) -> Array:
     """Prior values at ``(n, dim)`` anchors from an ``(n, m, d_w)`` normal block.
 
     ``cfg.variant`` picks the discretization.  Every reduction runs along the
@@ -142,22 +142,22 @@ def _prior_values(f: Callable[[Array], Array], model: StateSpaceModel, t_k: floa
     except ModelBlowUpError as err:
         raise ModelBlowUpError(
             f"non-finite reverse samples for particle ids "
-            f"{ids[np.unique(err.rows // m)][:8].tolist()}{where}") from err
+            f"{ids[np.unique(err.rows // m)][:8].tolist()}") from err
     flat = points.reshape(n * m, -1)
-    vals = _density_values(f, flat, ids, "reverse samples", where).reshape(n, m)
+    vals = _density_values(f, flat, ids, "reverse samples").reshape(n, m)
     if cfg.variant == "left_point":
         div = np.asarray(model.drift_divergence(flat), dtype=float).reshape(n, m)
         return vals.mean(axis=1) - (div * vals).mean(axis=1) * dt
 
     # right point: damped fixed-point recursion started at f(anchor), which
     # contracts exactly where |div * dt| < 1
-    y = _density_values(f, anchors, ids, "forward locations", where)
+    y = _density_values(f, anchors, ids, "forward locations")
     div = np.asarray(model.drift_divergence(anchors), dtype=float)
     bad = np.flatnonzero(~(np.abs(div * dt) < 1.0))
     if bad.size:
         raise ContractionError(
             f"fixed-point iteration diverged (|divergence * dt| >= 1) at particle "
-            f"ids {ids[bad][:8].tolist()}{where}; reduce the step size")
+            f"ids {ids[bad][:8].tolist()}; reduce the step size")
     prefix = np.cumsum(vals, axis=1) / np.arange(1, m + 1)
     for j in range(m):
         y = prefix[:, j] - div * y * dt
@@ -196,7 +196,6 @@ def predict_cloud(prev_cloud: ParticleCloud, prev_density: Callable[[Array], Arr
     n = prev_cloud.n_particles
     d_w = model.dim_noise
     m = cfg.mc_samples
-    where = f" at step {k}"
 
     fwd_noise = np.empty((n, d_w))
     bwd_noise = np.empty((n, m, d_w))
@@ -210,8 +209,8 @@ def predict_cloud(prev_cloud: ParticleCloud, prev_density: Callable[[Array], Arr
     except ModelBlowUpError as err:
         raise ModelBlowUpError(
             f"forward propagation produced non-finite states for particle ids "
-            f"{prev_cloud.ids[err.rows][:8].tolist()}{where}") from err
+            f"{prev_cloud.ids[err.rows][:8].tolist()}") from err
     values = _prior_values(prev_density, model, grid.time(k), forward, dt, bwd_noise,
-                           cfg, prev_cloud.ids, where)
+                           cfg, prev_cloud.ids)
     return ParticleCloud(locations=forward, values=np.maximum(values, 0.0),
                          stage="prior", ids=prev_cloud.ids.copy())

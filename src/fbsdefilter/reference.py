@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .bayes import Likelihood, likelihood_density
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateObservationError
 from .model import StateSpaceModel, TimeGrid, euler_step
 from .rngs import substream
 
@@ -184,6 +184,14 @@ def _transition_slabs(model: StateSpaceModel, xs: Array, dt: float,
     return slabs
 
 
+def _normalized(density: Array, xs: Array, k: int) -> Array:
+    """``density`` on the nodes ``xs`` over its mass, refused unless finite and positive."""
+    mass = np.trapezoid(density, xs)
+    if not 0.0 < mass < math.inf:
+        raise DegenerateObservationError(f"grid filter mass at step {k} is {mass}")
+    return density / mass
+
+
 def grid_filter(model: StateSpaceModel, grid: TimeGrid,
                 observations: Array) -> GridFilterResult:
     """Exact (to quadrature accuracy) filter for the discretized 1-d chain.
@@ -225,8 +233,7 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid,
     xs = np.linspace(lo - pad, hi + pad, GRID_NODES)
     weight = np.gradient(xs)
 
-    post = np.asarray(model.initial_density(xs[:, None]), dtype=float)
-    post = post / np.trapezoid(post, xs)
+    post = _normalized(np.asarray(model.initial_density(xs[:, None]), dtype=float), xs, 0)
     powers = np.stack([xs, xs ** 2])
     moments = np.empty((grid.steps + 1, 2))  # mean, second moment
     moments[0] = np.trapezoid(post * powers, xs)
@@ -246,11 +253,7 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid,
             prior[start:stop] = kernel @ weighted[cols]
         lik = Likelihood(observations[k - 1], observations[k], dt,
                          model.obs_map, model.obs_noise(grid.time(k)))
-        post = prior * likelihood_density(lik, xs[:, None])
-        norm = np.trapezoid(post, xs)
-        if norm <= 0:
-            raise ConfigurationError(f"grid filter lost all mass at step {k}")
-        post = post / norm
+        post = _normalized(prior * likelihood_density(lik, xs[:, None]), xs, k)
         moments[k] = np.trapezoid(post * powers, xs)
 
     means, seconds = moments.T

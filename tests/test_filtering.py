@@ -3,6 +3,7 @@ import math
 import os
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fbsdefilter.errors import ConfigurationError, FilterError
 from fbsdefilter.filtering import (
     FilterConfig,
     FilterState,
+    InitialDensity,
     bootstrap_pf,
     initialize,
     kalman_filter,
@@ -95,6 +97,14 @@ class TestInitialize:
                 initialize(get_model("doublewell1d"),
                            small_config(TimeGrid.uniform(horizon=8.0, steps=4),
                                         variant=variant))
+
+    def test_wrong_shaped_initial_draw_is_a_configuration_error(self):
+        model = make_model_1d(drift=lambda x: -np.asarray(x, dtype=float))
+        model.initial_sampler = lambda n, rng: np.zeros((n, 2))
+        grid = TimeGrid.uniform(horizon=1.0, steps=4)
+        with pytest.raises(ConfigurationError,
+                           match=r"^initial sampler returned shape \(5, 2\), expected \(5, 1\)$"):
+            initialize(model, small_config(grid, n_particles=5, n_kernels=1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_wrong_divergence_rejected_before_any_draw(self):
@@ -274,6 +284,41 @@ class TestStep:
         bad_obs = np.array([1e12])
         with pytest.raises(FilterError, match="step 1"):
             step(state, model, np.zeros(1), bad_obs, cfg)
+
+    @pytest.mark.parametrize("model_kwargs, locations, density", [
+        pytest.param({"drift": lambda x: 0.0 * np.asarray(x, dtype=float)}, [[0.0]],
+                     lambda pts: np.full(len(pts), np.nan), id="non-finite-density"),
+        pytest.param({"drift": lambda x: np.where(np.asarray(x) > 5.0, np.inf, 0.0)},
+                     [[0.0], [10.0]], None, id="forward-blow-up"),
+        pytest.param({"drift": lambda x: np.where(np.asarray(x) > 0.5, np.inf, 1.0),
+                      "sigma": 0.0}, [[0.0], [0.45]], None, id="reverse-blow-up"),
+        pytest.param({"drift": lambda x: 0.0 * np.asarray(x, dtype=float), "sigma": 0.0,
+                      "divergence": lambda x: np.where(np.asarray(x)[..., 0] > 5.0, 10.0, 1.0)},
+                     [[0.0], [10.0]], None, id="non-contracting"),
+    ])
+    def test_prediction_failure_names_its_step_once(self, model_kwargs, locations,
+                                                     density):
+        # the prediction names the particle ids, step() alone names the step
+        model = make_model_1d(**model_kwargs)
+        grid = TimeGrid.uniform(horizon=1.0, steps=10)
+        cfg = small_config(grid, n_particles=len(locations), n_kernels=1, mc_samples=4)
+        cloud = ParticleCloud(locations=locations, values=np.ones(len(locations)),
+                              stage="posterior")
+        state = FilterState(k=0, cloud=cloud, density=InitialDensity(model))
+        if density is not None:
+            state.density = SimpleNamespace(eval=density)
+        with pytest.raises(FilterError, match="^step 1: .*particle ids") as info:
+            step(state, model, np.zeros(1), np.zeros(1), cfg)
+        assert str(info.value).count("step 1") == 1
+
+    def test_step_past_the_grid_is_refused_by_the_grid(self):
+        model = get_model("linear1d")
+        grid = TimeGrid.uniform(horizon=1.0, steps=2)
+        cfg = small_config(grid, n_particles=20, n_kernels=4, sgd_steps=50)
+        state = initialize(model, cfg)
+        state.k = 2
+        with pytest.raises(ConfigurationError, match=r"^step 3: step index 3 outside 1\.\.2$"):
+            step(state, model, np.zeros(1), np.zeros(1), cfg)
 
 
 class TestRunFilter:

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbsdefilter.cli import main as cli_main
-from fbsdefilter.errors import ConfigurationError, ContractionError, ModelBlowUpError
+from fbsdefilter.errors import ConfigurationError, ContractionError, \
+    DegenerateObservationError, ModelBlowUpError
 from fbsdefilter.harness import (
     ConvergenceReport,
     ExperimentConfig,
@@ -158,7 +159,7 @@ class TestRecurrenceDiagnostic:
         _truth, obs = simulate_truth(model, grid, seed=4)
         diag = estimate_recurrence_coefficient(model, grid, obs, seed=4,
                                                n_samples=5000, n_backward=256)
-        assert diag.ratio_sup == pytest.approx(1.0, rel=1e-12)
+        assert max(diag.per_step_ratios) == pytest.approx(1.0, rel=1e-12)
         assert diag.r_hat == pytest.approx(2.0 * math.sqrt(1.0 + 0.25), rel=1e-12)
 
     def test_zero_drift_constant_likelihood_gives_two(self):
@@ -184,18 +185,17 @@ class TestRecurrenceDiagnostic:
 
     def test_underflow_reports_only_the_steps_computed(self):
         # an observation increment of 1e4 makes every likelihood at step 3
-        # underflow; the ratios of steps 1-2 depend only on the data so far
+        # underflow; that stops the estimate, naming the step, as an
+        # underflow stops the filter's own update
         model = get_model("linear1d")
         grid = TimeGrid.uniform(horizon=1.0, steps=5)
         _truth, obs = simulate_truth(model, grid, seed=7)
         jumped = obs.copy()
         jumped[3:] += 1e4
-        clean = estimate_recurrence_coefficient(model, grid, obs, seed=7,
-                                                n_samples=2000, n_backward=128)
-        diag = estimate_recurrence_coefficient(model, grid, jumped, seed=7,
-                                               n_samples=2000, n_backward=128)
-        assert diag.failed and "step 3" in diag.message
-        np.testing.assert_array_equal(diag.per_step_ratios, clean.per_step_ratios[:2])
+        with pytest.raises(DegenerateObservationError,
+                           match="^forward likelihood mean underflowed at step 3$"):
+            estimate_recurrence_coefficient(model, grid, jumped, seed=7,
+                                            n_samples=2000, n_backward=128)
 
     def test_overflowing_drift_raises_blow_up(self):
         # an overflowing forward step must stop the diagnostic, not leave
@@ -393,7 +393,9 @@ def test_pooled_job_error_is_raised_as_in_a_serial_run(tmp_path, steep_decay_mod
             run_experiment(cfg)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
-    assert messages[0].startswith("replication 0: step 1: fixed-point iteration diverged")
+    assert messages[0] == ("replication 0: step 1: fixed-point iteration diverged "
+                           "(|divergence * dt| >= 1) at particle ids "
+                           "[0, 1, 2, 3, 4, 5, 6, 7]; reduce the step size")
     # every replication ran to its failure under either worker count
     files = [sorted(p.relative_to(tmp_path / f"threads{threads}").as_posix()
                     for p in (tmp_path / f"threads{threads}").rglob("*"))
@@ -457,6 +459,9 @@ class TestCli:
                          "--out", diag_out]) == 0
         payload = json.loads((Path(diag_out) / "recurrence.json").read_text())
         assert payload["g_hat"] == pytest.approx(0.5)
+        assert set(payload) == {"model", "r_hat", "g_hat", "per_step_ratios"}
+        assert capsys.readouterr().out.splitlines()[-1] \
+            == f"recurrence estimate {payload['r_hat']:.4f}"
 
     def test_corrupt_config_exits_nonzero_with_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -182,6 +182,26 @@ def test_only_predict_compares_the_variant():
     assert offenders == []
 
 
+def test_every_raised_exception_is_a_package_error():
+    # one convention for failures: each raise that builds an exception builds
+    # a class from errors.py; a caught error raised again (``raise err``,
+    # ``raise type(err)(...)``) keeps the class it was first raised with
+    package = Path(fbsdefilter.__file__).resolve().parent
+    errors = {node.name for node in ast.parse(
+        (package / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)}
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if isinstance(func, (ast.Name, ast.Attribute)) and name not in errors:
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []
+
+
 def _fenced_blocks(text: str) -> list[tuple[str, str]]:
     """(language, body) of every fenced code block in a markdown text."""
     return re.findall(r"^```(\w*)\n(.*?)^```", text, flags=re.M | re.S)

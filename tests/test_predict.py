@@ -396,7 +396,7 @@ class TestPredictCloud:
             out[-1] = np.nan
             return out
 
-        with pytest.raises(FilterError, match=r"reverse samples of particle ids \[2\] at step 1"):
+        with pytest.raises(FilterError, match=r"reverse samples of particle ids \[2\], first at "):
             predict_cloud(cloud, nan_in_last_block, model, self._grid(), 1,
                           PredictConfig(mc_samples=4, variant="left_point"), seed=0)
 
@@ -416,14 +416,14 @@ class TestPredictCloud:
                 ([[-10.0], [0.0]], [4, 9], r"\[4\]")):
             with pytest.raises(ContractionError,
                                match=rf"^fixed-point iteration diverged .* particle ids "
-                                     rf"{named} at step 1; reduce the step size$"):
+                                     rf"{named}; reduce the step size$"):
                 predict_cloud(self._cloud(locations, ids), gauss_density(0.0, 1.0), model,
                               self._grid(), 1, PredictConfig(mc_samples=4), seed=0)
 
     def test_nonfinite_forward_state_names_particle(self):
         model = make_model_1d(drift=lambda x: np.where(np.asarray(x) > 5.0, np.inf, 0.0))
         cloud = self._cloud([[0.0], [10.0], [1.0]], [3, 7, 1])
-        with pytest.raises(ModelBlowUpError, match=r"forward .* particle ids \[7\] at step 1"):
+        with pytest.raises(ModelBlowUpError, match=r"forward .* particle ids \[7\]$"):
             predict_cloud(cloud, gauss_density(0.0, 1.0), model, self._grid(), 1,
                           PredictConfig(mc_samples=4), seed=0)
 

@@ -8,7 +8,7 @@ import pytest
 
 from fbsdefilter import reference
 from fbsdefilter.bayes import Likelihood, likelihood_density
-from fbsdefilter.errors import ConfigurationError
+from fbsdefilter.errors import ConfigurationError, DegenerateObservationError
 from fbsdefilter.filtering import kalman_filter
 from fbsdefilter.harness import GridSettings, _run_jobs
 from fbsdefilter.model import TimeGrid, get_model, simulate_truth
@@ -191,3 +191,18 @@ def test_oracles_without_noise_evaluate_at_the_point(x):
     # a negative step is refused, as the Monte Carlo estimator refuses it
     with pytest.raises(ConfigurationError, match="nonnegative"):
         prediction_estimator_variance(prev, model, 0.0, x, -0.1)
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
+def test_grid_filter_refuses_an_initial_law_without_mass(value):
+    # the initial law is normalised like every later posterior: a mass that is
+    # not finite and positive stops the oracle instead of giving NaN moments
+    model = dataclasses.replace(
+        get_model("doublewell1d"),
+        initial_density=lambda x: np.full(np.asarray(x).shape[:-1], value))
+    grid = TimeGrid.uniform(horizon=1.0, steps=4)
+    obs = simulate_truth(model, grid, 0)[1]
+    with pytest.raises(DegenerateObservationError,
+                       match=rf"^grid filter mass at step 0 is {value}$"):
+        grid_filter(model, grid, obs)
+
