@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateObservationError
-from .model import matvec
+from .model import StateSpaceModel, TimeGrid, matvec
 from .predict import ParticleCloud
 
 Array = np.ndarray
@@ -59,6 +59,13 @@ class Likelihood:
         self._precision = np.linalg.inv(cov)
         self._log_norm = -0.5 * (d * math.log(2.0 * math.pi)
                                  + 2.0 * float(np.log(np.diag(chol)).sum()))
+
+
+def step_likelihood(model: StateSpaceModel, grid: TimeGrid, k: int, obs_prev: Array,
+                    obs_now: Array) -> Likelihood:
+    """Likelihood of step k's observation increment, at t_k over dt_k."""
+    return Likelihood(obs_prev, obs_now, grid.dt(k), model.obs_map,
+                      model.obs_noise(grid.time(k)))
 
 
 def likelihood_density(lik: Likelihood, x: Array) -> Array:

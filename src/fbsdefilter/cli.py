@@ -10,9 +10,9 @@ from pathlib import Path
 
 from .artifacts import write_csv, write_json
 from .errors import FilterError
-from .harness import ExperimentConfig, estimate_recurrence_coefficient, load_config, \
-    run_experiment, run_rate_study, save_report
-from .model import get_model, simulate_truth
+from .harness import AXES, ExperimentConfig, estimate_recurrence_coefficient, \
+    load_config, run_experiment, run_rate_study, save_report
+from .model import MODEL_ZOO, get_model, simulate_truth
 
 
 # Override flags and the config field each one sets.
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--model", type=str, default=None,
-                       help="zoo model name (linear1d, ou1d, doublewell1d, linear2d)")
+                       help=f"zoo model name ({', '.join(sorted(MODEL_ZOO))})")
         p.add_argument("--config", type=str, default=None,
                        help="JSON config mirroring the experiment fields")
         p.add_argument("--seed", type=int, default=None)
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rates = sub.add_parser("rates", help="empirical convergence-rate study")
     common(p_rates)
-    p_rates.add_argument("--axis", choices=("L", "M", "N", "dt"), required=True)
+    p_rates.add_argument("--axis", choices=AXES, required=True)
     p_rates.set_defaults(func=_cmd_rates)
 
     p_diag = sub.add_parser("diagnose", help="recurrence-coefficient diagnostic")

@@ -16,12 +16,12 @@ from typing import Callable
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .bayes import DENSITY_FLOOR, Likelihood, bayes_update, denominator_mc, \
-    likelihood_density
-from .errors import ConfigurationError, FilterError
+from .bayes import DENSITY_FLOOR, bayes_update, denominator_mc, likelihood_density, \
+    step_likelihood
+from .errors import ConfigurationError, DegenerateObservationError, FilterError
 from .kde import KernelDensity, _as_points, save_density
 from .learn import TrainConfig, sgd_fit
-from .model import StateSpaceModel, TimeGrid, check_drift_divergence, euler_step
+from .model import StateSpaceModel, TimeGrid, advance, check_drift_divergence
 from .predict import ParticleCloud, PredictConfig, check_contraction, predict_cloud
 from .rngs import substream
 
@@ -151,8 +151,7 @@ def step(state: FilterState, model: StateSpaceModel, obs_prev: Array,
     try:
         prior = predict_cloud(state.cloud, state.density.eval, model, cfg.grid, k,
                               cfg.predict, cfg.seed)
-        lik = Likelihood(obs_prev, obs_now, cfg.grid.dt(k), model.obs_map,
-                         model.obs_noise(cfg.grid.time(k)))
+        lik = step_likelihood(model, cfg.grid, k, obs_prev, obs_now)
         posterior = bayes_update(prior, lik)
         denominator = denominator_mc(prior, lik)
         kd, _report = sgd_fit(posterior, cfg.n_kernels, cfg.train,
@@ -297,13 +296,12 @@ def bootstrap_pf(model: StateSpaceModel, grid: TimeGrid, observations: Array,
                          dtype=float)
     means[0], stds[0], ess[0] = current.mean(axis=0), current.std(axis=0), n_particles
     for k in range(1, grid.steps + 1):
-        dt = grid.dt(k)
-        noise = math.sqrt(dt) * substream(seed, "pf-noise", k).standard_normal(
-            (n_particles, model.dim_noise))
-        current = euler_step(model, grid.time(k - 1), current, dt, noise)
-        lik = Likelihood(observations[k - 1], observations[k], dt, model.obs_map,
-                         model.obs_noise(grid.time(k)))
-        w = np.maximum(likelihood_density(lik, current), DENSITY_FLOOR)
+        current = advance(model, grid, k, current, substream(seed, "pf-noise", k))
+        lik = step_likelihood(model, grid, k, observations[k - 1], observations[k])
+        w = likelihood_density(lik, current)
+        if np.all(w <= DENSITY_FLOOR):
+            raise DegenerateObservationError(
+                f"step {k}: all particle likelihoods underflowed")
         w = w / w.sum()
         means[k] = (w[:, None] * current).sum(axis=0)
         stds[k] = np.sqrt(w @ (current - means[k]) ** 2)

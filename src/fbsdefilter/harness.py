@@ -21,14 +21,14 @@ from typing import Callable, NamedTuple, get_type_hints
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .bayes import DENSITY_FLOOR, Likelihood, denominator_mc, likelihood_density
+from .bayes import DENSITY_FLOOR, denominator_mc, likelihood_density, step_likelihood
 from .errors import ConfigurationError, DegenerateObservationError, FilterError
 from .filtering import FilterConfig, bootstrap_pf, kalman_filter, run_filter, \
     write_checkpoint
 from .kde import KernelDensity, mse_rate_exponent, parzen_estimate
 from .learn import TrainConfig
-from .model import StateSpaceModel, TimeGrid, backward_sample, check_drift_divergence, \
-    euler_step, get_model, ou_exact_coupled_step, simulate_truth
+from .model import StateSpaceModel, TimeGrid, advance, backward_sample, \
+    check_drift_divergence, euler_step, get_model, ou_exact_coupled_step, simulate_truth
 from .predict import ParticleCloud, PredictConfig, check_contraction, predict_value
 from .reference import denominator_oracle, grid_filter, \
     prediction_oracle_left_point
@@ -233,7 +233,7 @@ def kde_rate_study(sample_counts=(250, 1000, 4000, 16000), dim: int = 1,
                              notes=f"standard normal target, dim={dim}, query at origin")
 
 
-def _probe_points(mean: float, std: float) -> Array:
+def _probe_points(mean: float | Array, std: float | Array) -> Array:
     return mean + std * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
@@ -302,7 +302,7 @@ def denominator_rate_study(particle_counts=(100, 1000, 10000, 100000),
     # a fixed, mildly informative observation increment
     obs_prev = np.zeros(1)
     obs_now = np.array([float(model.obs_map(np.array([mean0 + 0.5 * std0]))[0]) * dt])
-    lik = Likelihood(obs_prev, obs_now, dt, model.obs_map, model.obs_noise(dt))
+    lik = step_likelihood(model, TimeGrid.uniform(dt, 1), 1, obs_prev, obs_now)
     truth = denominator_oracle(lik, model.initial_density, mean0, std0)
 
     def one_rep(rep: int) -> Array:
@@ -530,31 +530,24 @@ def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
     g_hat = float(np.max(np.abs(model.drift_divergence(states))))
     ratios = np.empty(grid.steps)
     for k in range(1, grid.steps + 1):
-        dt = grid.dt(k)
-        noise = math.sqrt(dt) * substream(seed, "recur-fwd", k).standard_normal(
-            (n_samples, model.dim_noise))
-        states = euler_step(model, grid.time(k - 1), states, dt, noise)
+        states = advance(model, grid, k, states, substream(seed, "recur-fwd", k))
         g_hat = max(g_hat, float(np.max(np.abs(model.drift_divergence(states)))))
-        lik = Likelihood(observations[k - 1], observations[k], dt, model.obs_map,
-                         model.obs_noise(grid.time(k)))
+        lik = step_likelihood(model, grid, k, observations[k - 1], observations[k])
         denom = float(np.mean(likelihood_density(lik, states)))
         if denom <= DENSITY_FLOOR:
             raise DegenerateObservationError(
                 f"forward likelihood mean underflowed at step {k}")
-        mean_k = states.mean(axis=0)
-        std_k = states.std(axis=0)
-        best = -math.inf
-        probe_id = 0
-        for axis in range(model.dim_state):
-            for shift in (-2.0, -1.0, 0.0, 1.0, 2.0):
-                probe = mean_k.copy()
-                probe[axis] += shift * std_k[axis]
-                rng = substream(seed, "recur-bwd", k, probe_id)
-                probe_id += 1
-                dW = math.sqrt(dt) * rng.standard_normal((n_backward, model.dim_noise))
-                back = backward_sample(model, grid.time(k), probe, dt, dW)
-                best = max(best, float(np.mean(likelihood_density(lik, back))))
-        ratios[k - 1] = best / denom
+        # probe 5 * axis + j moves the mean by (j - 2) sds along that axis
+        mean_k, probes = states.mean(axis=0), np.arange(5 * model.dim_state)
+        anchors = np.tile(mean_k, (probes.size, 1, 1))
+        anchors[probes, 0, probes // 5] = _probe_points(
+            mean_k[:, None], states.std(axis=0)[:, None]).ravel()
+        dt = grid.dt(k)
+        dW = math.sqrt(dt) * np.stack([substream(seed, "recur-bwd", k, p).standard_normal(
+            (n_backward, model.dim_noise)) for p in range(probes.size)])
+        back = backward_sample(model, grid.time(k), anchors, dt, dW)
+        liks = likelihood_density(lik, back.reshape(-1, back.shape[-1]))
+        ratios[k - 1] = float(np.max(liks.reshape(probes.size, -1).mean(axis=1))) / denom
     r_hat = 2.0 * math.sqrt(1.0 + grid.horizon ** 2 * g_hat ** 2) * float(np.max(ratios))
     return RecurrenceDiagnostic(r_hat=r_hat, g_hat=g_hat, per_step_ratios=ratios)
 

@@ -231,6 +231,14 @@ def backward_sample(model: StateSpaceModel, t_k: float, x_k: Array, dt: float,
     return _sde_step(model, t_k, x_k, dt, dW, -1.0)
 
 
+def advance(model: StateSpaceModel, grid: TimeGrid, k: int, x: Array,
+            rng: np.random.Generator) -> Array:
+    """Step k of the chain: Euler from t_{k-1} with N(0, dt_k I) draws from ``rng``."""
+    dt = grid.dt(k)
+    dW = rng.standard_normal(np.shape(x)[:-1] + (model.dim_noise,))
+    return euler_step(model, grid.time(k - 1), x, dt, math.sqrt(dt) * dW)
+
+
 def simulate_truth(model: StateSpaceModel, grid: TimeGrid, seed: int) -> tuple[Array, Array]:
     """Simulate a hidden path and its cumulative observation process.
 
@@ -247,8 +255,7 @@ def simulate_truth(model: StateSpaceModel, grid: TimeGrid, seed: int) -> tuple[A
     states[0] = model.initial_sampler(1, substream(seed, "truth-init"))[0]
     for k in range(1, n_steps + 1):
         dt = grid.dt(k)
-        dW = math.sqrt(dt) * rng_state.standard_normal(model.dim_noise)
-        states[k] = euler_step(model, grid.time(k - 1), states[k - 1], dt, dW)
+        states[k] = advance(model, grid, k, states[k - 1], rng_state)
         dV = math.sqrt(dt) * rng_obs.standard_normal(model.dim_obs)
         obs[k] = obs[k - 1] + np.asarray(model.obs_map(states[k]), dtype=float) * dt \
             + matvec(model.obs_noise(grid.time(k)), dV)

@@ -12,9 +12,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bayes import Likelihood, likelihood_density
+from .bayes import DENSITY_FLOOR, Likelihood, likelihood_density, step_likelihood
 from .errors import ConfigurationError, DegenerateObservationError
-from .model import StateSpaceModel, TimeGrid, euler_step
+from .model import StateSpaceModel, TimeGrid, advance
 from .rngs import substream
 
 Array = np.ndarray
@@ -224,9 +224,7 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid,
     lo = float(states.min())
     hi = float(states.max())
     for k in range(1, grid.steps + 1):
-        dt = grid.dt(k)
-        noise = math.sqrt(dt) * probe_rng.standard_normal((n_probe, model.dim_noise))
-        states = euler_step(model, grid.time(k - 1), states, dt, noise)
+        states = advance(model, grid, k, states, probe_rng)
         lo = min(lo, float(states.min()))
         hi = max(hi, float(states.max()))
     pad = 0.35 * GRID_SPAN * max(hi - lo, 1.0)
@@ -251,9 +249,11 @@ def grid_filter(model: StateSpaceModel, grid: TimeGrid,
         weighted = post * weight
         for start, stop, cols, kernel in slabs:
             prior[start:stop] = kernel @ weighted[cols]
-        lik = Likelihood(observations[k - 1], observations[k], dt,
-                         model.obs_map, model.obs_noise(grid.time(k)))
-        post = _normalized(prior * likelihood_density(lik, xs[:, None]), xs, k)
+        lik = likelihood_density(step_likelihood(model, grid, k, observations[k - 1],
+                                                 observations[k]), xs[:, None])
+        if np.all(lik <= DENSITY_FLOOR):
+            raise DegenerateObservationError(f"step {k}: all node likelihoods underflowed")
+        post = _normalized(prior * lik, xs, k)
         moments[k] = np.trapezoid(post * powers, xs)
 
     means, seconds = moments.T

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fbsdefilter.bayes import DENSITY_FLOOR
-from fbsdefilter.errors import ConfigurationError, FilterError
+from fbsdefilter.errors import ConfigurationError, DegenerateObservationError, FilterError
 from fbsdefilter.filtering import (
     FilterConfig,
     FilterState,
@@ -400,6 +400,20 @@ def test_observation_rows_must_match_the_grid(consumer, rows):
     grid = TimeGrid.uniform(horizon=0.5, steps=5)
     with pytest.raises(ConfigurationError, match=f"^need 6 observation rows, got {rows}$"):
         OBSERVATION_CONSUMERS[consumer](model, grid, np.zeros((rows, 1)))
+
+
+@pytest.mark.parametrize("consumer", ["bootstrap_pf", "grid_filter"])
+def test_references_refuse_an_observation_no_state_explains(consumer):
+    # from step 2 on the increment is 1e6 away from every state, so every
+    # likelihood sits at the floor; the references stop there, naming the
+    # step, as the filter's own update does, instead of returning the prior
+    model = get_model("doublewell1d")
+    grid = TimeGrid.uniform(1.0, 4)
+    _truth, obs = simulate_truth(model, grid, seed=3)
+    obs[2:] += 1e6
+    with pytest.raises(DegenerateObservationError,
+                       match="^step 2: all (particle|node) likelihoods underflowed$"):
+        OBSERVATION_CONSUMERS[consumer](model, grid, obs)
 
 
 class TestOracleCompetitiveness:

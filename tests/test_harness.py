@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbsdefilter.bayes import Likelihood, likelihood_density
 from fbsdefilter.cli import main as cli_main
 from fbsdefilter.errors import ConfigurationError, ContractionError, \
     DegenerateObservationError, ModelBlowUpError
 from fbsdefilter.harness import (
+    AXES,
     ConvergenceReport,
     ExperimentConfig,
     FilterSettings,
@@ -32,8 +34,8 @@ from fbsdefilter.harness import (
     run_rate_study,
     save_report,
 )
-from fbsdefilter.model import MODEL_ZOO, TimeGrid, get_model, register_model, \
-    simulate_truth
+from fbsdefilter.model import MODEL_ZOO, TimeGrid, backward_sample, euler_step, \
+    get_model, register_model, simulate_truth
 from fbsdefilter.rngs import substream
 
 from conftest import make_model_1d, write_csv_rows
@@ -196,6 +198,45 @@ class TestRecurrenceDiagnostic:
                            match="^forward likelihood mean underflowed at step 3$"):
             estimate_recurrence_coefficient(model, grid, jumped, seed=7,
                                             n_samples=2000, n_backward=128)
+
+    def test_batched_probes_equal_the_per_probe_loop(self):
+        # the 5 d reverse-sample probes are one batched call; on a 2-d model
+        # (10 probes) every ratio keeps the bits of a loop that steps, draws
+        # and averages one probe at a time
+        model = get_model("linear2d")
+        grid = TimeGrid.uniform(horizon=1.0, steps=4)
+        _truth, obs = simulate_truth(model, grid, seed=8)
+        seed, n_samples, n_backward = 8, 3000, 256
+        states = model.initial_sampler(n_samples, substream(seed, "recur-init"))
+        g_hat = float(np.max(np.abs(model.drift_divergence(states))))
+        ratios = []
+        for k in range(1, grid.steps + 1):
+            dt = grid.dt(k)
+            noise = math.sqrt(dt) * substream(seed, "recur-fwd", k).standard_normal(
+                (n_samples, model.dim_noise))
+            states = euler_step(model, grid.time(k - 1), states, dt, noise)
+            g_hat = max(g_hat, float(np.max(np.abs(model.drift_divergence(states)))))
+            lik = Likelihood(obs[k - 1], obs[k], dt, model.obs_map,
+                             model.obs_noise(grid.time(k)))
+            denom = float(np.mean(likelihood_density(lik, states)))
+            mean_k, std_k = states.mean(axis=0), states.std(axis=0)
+            best, probe_id = -math.inf, 0
+            for axis in range(model.dim_state):
+                for shift in (-2.0, -1.0, 0.0, 1.0, 2.0):
+                    probe = mean_k.copy()
+                    probe[axis] += shift * std_k[axis]
+                    rng = substream(seed, "recur-bwd", k, probe_id)
+                    probe_id += 1
+                    dW = math.sqrt(dt) * rng.standard_normal((n_backward, model.dim_noise))
+                    back = backward_sample(model, grid.time(k), probe, dt, dW)
+                    best = max(best, float(np.mean(likelihood_density(lik, back))))
+            ratios.append(best / denom)
+        diag = estimate_recurrence_coefficient(model, grid, obs, seed=seed,
+                                               n_samples=n_samples, n_backward=n_backward)
+        assert diag.per_step_ratios.tobytes() == np.array(ratios).tobytes()
+        assert diag.g_hat == g_hat
+        assert diag.r_hat == 2.0 * math.sqrt(1.0 + grid.horizon ** 2 * g_hat ** 2) \
+            * max(ratios)
 
     def test_overflowing_drift_raises_blow_up(self):
         # an overflowing forward step must stop the diagnostic, not leave
@@ -440,6 +481,20 @@ def test_failed_replication_is_named_in_the_error(tmp_path, capsys, nan_initial_
 
 
 class TestCli:
+    def test_names_come_from_their_registries(self, capsys):
+        # --model's help lists a model registered after import, and --axis
+        # offers exactly the study axes
+        register_model("customwalk", lambda: get_model("ou1d"))
+        try:
+            names = ", ".join(sorted(MODEL_ZOO))
+            with pytest.raises(SystemExit):
+                cli_main(["rates", "--help"])
+        finally:
+            MODEL_ZOO.pop("customwalk")
+        text = " ".join(capsys.readouterr().out.split())
+        assert "customwalk" in names and f"zoo model name ({names})" in text
+        assert f"--axis {{{','.join(AXES)}}}" in text
+
     def test_simulate_and_rates_and_diagnose(self, tmp_path, capsys):
         out = str(tmp_path / "sim")
         assert cli_main(["simulate", "--model", "ou1d", "--seed", "2",

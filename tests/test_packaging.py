@@ -126,6 +126,30 @@ def test_generators_are_built_only_in_rngs():
     assert offenders == []
 
 
+# The functions that call euler_step: the chain's one forward step, and the
+# two callers whose increments are not one draw from one generator (per-id
+# particle streams in predict_cloud, increments coupled to the exact OU step
+# in dt_rate_study).
+EULER_STEP_CALLERS = {"model.advance", "predict.predict_cloud", "harness.dt_rate_study"}
+
+
+def test_each_chain_step_has_one_spelling():
+    # every observation likelihood comes from bayes and every forward step of
+    # the chain from model.advance, so the filter, its references and the
+    # simulator cannot drift apart
+    package = Path(fbsdefilter.__file__).resolve().parent
+    built, callers = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "bayes.py":
+            built += [f"{path.name}:{call.lineno}" for call in _calls(tree, {"Likelihood"})]
+        for node in tree.body:
+            if _calls(node, {"euler_step"}):
+                callers.add(f"{path.stem}.{getattr(node, 'name', node.lineno)}")
+    assert built == []
+    assert callers == EULER_STEP_CALLERS
+
+
 def test_step_calls_only_public_functions():
     # ROADMAP item 7: the benchmark can call only public names, so step() is
     # to be a sequence of public stages that it can call in the same order
