@@ -18,7 +18,8 @@ import numpy as np
 from .artifacts import write_csv, write_json
 from .bayes import DENSITY_FLOOR, bayes_update, denominator_mc, likelihood_density, \
     step_likelihood
-from .errors import ConfigurationError, DegenerateObservationError, FilterError
+from .errors import ConfigurationError, DegenerateObservationError, FilterError, \
+    check_count
 from .kde import KernelDensity, _as_points, save_density
 from .learn import TrainConfig, sgd_fit
 from .model import StateSpaceModel, TimeGrid, advance, check_drift_divergence
@@ -44,10 +45,8 @@ class FilterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ConfigurationError("n_particles must be >= 1")
-        if not 1 <= self.n_kernels <= self.n_particles:
-            raise ConfigurationError("need 1 <= n_kernels <= n_particles")
+        check_count("n_particles", self.n_particles)
+        check_count("n_kernels", self.n_kernels, 1, self.n_particles, "n_particles")
 
 
 @dataclass
@@ -286,8 +285,7 @@ def bootstrap_pf(model: StateSpaceModel, grid: TimeGrid, observations: Array,
     Only the current cloud is held; each step records its weighted mean and
     standard deviation per coordinate, and the effective sample size.
     """
-    if n_particles < 1:
-        raise ConfigurationError("n_particles must be >= 1")
+    check_count("n_particles", n_particles)
     observations = grid.observation_rows(observations)
     means = np.empty((grid.steps + 1, model.dim_state))
     stds = np.empty_like(means)
@@ -311,7 +309,10 @@ def bootstrap_pf(model: StateSpaceModel, grid: TimeGrid, observations: Array,
                 f"bootstrap filter weight collapse at step {k}: effective sample "
                 f"size {ess[k]:.1f} of {n_particles}", stacklevel=2)
         u = substream(seed, "pf-resample", k).random(n_particles)
-        idx = np.minimum(np.searchsorted(np.cumsum(w), u, side="right"),
-                         n_particles - 1)
-        current = current[idx]
+        # searched in sorted order, the uniforms walk the cumulative weights
+        # once; scattered back, each keeps the index of the unsorted search
+        order, idx = np.argsort(u), np.empty(n_particles, dtype=np.intp)
+        idx[order] = np.searchsorted(np.cumsum(w), u[order], side="right")
+        current = current[np.minimum(idx, n_particles - 1)]
+        del u, order, idx  # freed before the next step's propagation peaks
     return BootstrapResult(means=means, stds=stds, ess=ess)

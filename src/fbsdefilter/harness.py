@@ -22,7 +22,8 @@ import numpy as np
 
 from .artifacts import write_csv, write_json
 from .bayes import DENSITY_FLOOR, denominator_mc, likelihood_density, step_likelihood
-from .errors import ConfigurationError, DegenerateObservationError, FilterError
+from .errors import ConfigurationError, DegenerateObservationError, FilterError, \
+    check_count
 from .filtering import FilterConfig, bootstrap_pf, kalman_filter, run_filter, \
     write_checkpoint
 from .kde import KernelDensity, mse_rate_exponent, parzen_estimate
@@ -45,9 +46,10 @@ REPLICATION_FLOOR = 50
 def check_slope_claim(replications: int, values=None) -> None:
     """Refuse a study that cannot carry a slope claim.
 
-    It needs at least ``REPLICATION_FLOOR`` replications and, when ``values``
-    is given, a strictly increasing grid of at least 4 points.
+    It needs an integer of at least ``REPLICATION_FLOOR`` replications and,
+    when ``values`` is given, a strictly increasing grid of at least 4 points.
     """
+    check_count("replications", replications, low=None)
     if replications < REPLICATION_FLOOR:
         raise ConfigurationError(
             f"a rate study needs replications >= {REPLICATION_FLOOR} for a slope "
@@ -213,7 +215,7 @@ def kde_rate_study(sample_counts=(250, 1000, 4000, 16000), dim: int = 1,
     at the origin is known exactly, so the only error source is the
     estimator itself.
     """
-    counts = sorted(int(n) for n in sample_counts)
+    counts = sorted(int(check_count("L sweep value", n)) for n in sample_counts)
     check_slope_claim(replications, counts)
     truth = (2.0 * math.pi) ** (-dim / 2.0)
     query = np.zeros((1, dim))
@@ -257,7 +259,7 @@ def prediction_rate_study(mc_counts=(16, 64, 256, 1024), replications: int = 200
     model = model if model is not None else get_model("ou1d")
     if model.dim_state != 1:
         raise ConfigurationError("prediction study needs a scalar-state model")
-    counts = sorted(int(m) for m in mc_counts)
+    counts = sorted(int(check_count("M sweep value", m)) for m in mc_counts)
     check_slope_claim(replications, counts)
     mean0, std0 = _initial_moments(model, "prediction")
     probes = _probe_points(mean0, std0)
@@ -296,7 +298,7 @@ def denominator_rate_study(particle_counts=(100, 1000, 10000, 100000),
     model = model if model is not None else get_model("ou1d")
     if model.dim_state != 1 or model.dim_obs != 1:
         raise ConfigurationError("denominator study needs scalar state and observation")
-    counts = sorted(int(n) for n in particle_counts)
+    counts = sorted(int(check_count("N sweep value", n)) for n in particle_counts)
     check_slope_claim(replications, counts)
     mean0, std0 = _initial_moments(model, "denominator")
     # a fixed, mildly informative observation increment
@@ -404,8 +406,8 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.replications < 1 or self.threads < 1:
-            raise ConfigurationError("replications and threads must be >= 1")
+        check_count("replications", self.replications)
+        check_count("threads", self.threads)
         if len(self.sweep.values) and min(self.sweep.values) <= 0:
             raise ConfigurationError("sweep values must be positive")
 
@@ -524,6 +526,8 @@ def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
     This is a diagnostic reading of the condition, not a certified bound.
     An underflowed forward likelihood mean is a ``DegenerateObservationError``.
     """
+    check_count("n_samples", n_samples)
+    check_count("n_backward", n_backward)
     observations = grid.observation_rows(observations)
     states = np.asarray(model.initial_sampler(n_samples,
                                               substream(seed, "recur-init")), dtype=float)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyDensityError
+from .errors import ConfigurationError, EmptyDensityError, check_count
 
 Array = np.ndarray
 
@@ -246,8 +246,8 @@ def gaussian_bandwidth(n: int, dim: int, density_sup: float) -> float:
     kernel; ``density_sup`` bounds the target density.  The Holder step uses
     p = q = 2, whose factor ``(q + 1)^(2/q)`` is 3.
     """
-    if n < 1 or dim < 1:
-        raise ConfigurationError("n and dim must be positive")
+    check_count("n", n)
+    check_count("dim", dim)
     if density_sup <= 0:
         raise ConfigurationError("density_sup must be positive")
     # E[(sum_i |Z_i|)^2] for a standard normal vector

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergentLearningError
+from .errors import ConfigurationError, DivergentLearningError, check_count
 from .kde import SQRT_PI, KernelDensity, _bumps, _sq_dists
 from .predict import ParticleCloud
 
@@ -42,8 +42,7 @@ class TrainConfig:
     rate_bandwidths: float = 0.02
 
     def __post_init__(self):
-        if self.sgd_steps < 1:
-            raise ConfigurationError("sgd_steps must be >= 1")
+        check_count("sgd_steps", self.sgd_steps)
         if self.rate_weights <= 0 or self.rate_bandwidths <= 0:
             raise ConfigurationError("learning rates must be positive")
 
@@ -65,8 +64,7 @@ class LossReport:
 
 def _select_center_rows(n: int, n_kernels: int, rng: np.random.Generator) -> Array:
     """Sorted distinct center rows, a uniform subsample of the ``n`` rows."""
-    if not 1 <= n_kernels <= n:
-        raise ConfigurationError(f"need 1 <= n_kernels <= {n}, got {n_kernels}")
+    check_count("n_kernels", n_kernels, high=n)
     rows = rng.choice(n, size=n_kernels, replace=False)
     return np.sort(rows)  # stable order by particle index
 

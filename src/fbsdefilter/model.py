@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelBlowUpError
+from .errors import ConfigurationError, ModelBlowUpError, check_count
 from .rngs import substream
 
 Array = np.ndarray
@@ -95,8 +95,8 @@ class StateSpaceModel:
     linear: LinearGaussian | None = None
 
     def __post_init__(self):
-        if self.dim_state < 1 or self.dim_obs < 1:
-            raise ConfigurationError("state and observation dimensions must be >= 1")
+        check_count("dim_state", self.dim_state)
+        check_count("dim_obs", self.dim_obs)
         if self.drift_divergence is None:
             drift = self.drift
             self.drift_divergence = lambda x: finite_difference_divergence(drift, x)
@@ -151,8 +151,7 @@ class TimeGrid:
     @classmethod
     def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
         """``steps`` equal intervals from 0 to ``horizon``."""
-        if steps < 1:
-            raise ConfigurationError("steps must be >= 1")
+        check_count("steps", steps)
         if horizon <= 0:
             raise ConfigurationError("horizon must be positive")
         return cls(np.linspace(0.0, horizon, steps + 1))

@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractionError, FilterError, ModelBlowUpError
+from .errors import ConfigurationError, ContractionError, FilterError, ModelBlowUpError, \
+    check_count
 from .model import StateSpaceModel, TimeGrid, backward_sample, euler_step
 from .rngs import substream
 
@@ -55,7 +56,8 @@ class ParticleCloud:
         if self.ids is None:
             self.ids = np.arange(n)
         else:
-            self.ids = np.asarray(self.ids, dtype=np.int64).ravel()
+            ids = check_count("particle ids", np.asarray(self.ids).ravel(), low=None)
+            self.ids = ids.astype(np.int64, copy=False)
             if self.ids.shape != (n,) or np.unique(self.ids).size != n:
                 raise ConfigurationError("ids must be unique and align with locations")
 
@@ -81,8 +83,7 @@ class PredictConfig:
     variant: str = "right_point_fixed_point"
 
     def __post_init__(self):
-        if self.mc_samples < 1:
-            raise ConfigurationError("mc_samples must be >= 1")
+        check_count("mc_samples", self.mc_samples)
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"variant must be one of {VARIANTS}")
 

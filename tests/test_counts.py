@@ -1,0 +1,103 @@
+"""The count rule: every size, count and count-axis sweep value is an integer in bounds."""
+
+import json
+import re
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from fbsdefilter.errors import ConfigurationError
+from fbsdefilter.filtering import FilterConfig, bootstrap_pf
+from fbsdefilter.harness import ExperimentConfig, SweepSettings, \
+    estimate_recurrence_coefficient, kde_rate_study, run_rate_study
+from fbsdefilter.kde import gaussian_bandwidth
+from fbsdefilter.learn import TrainConfig, sgd_fit
+from fbsdefilter.model import TimeGrid, get_model
+from fbsdefilter.predict import ParticleCloud, PredictConfig
+
+MODEL = get_model("linear1d")
+GRID = TimeGrid.uniform(horizon=1.0, steps=4)
+OBS = np.zeros((GRID.steps + 1, 1))
+CLOUD = ParticleCloud(locations=np.linspace(-1.0, 1.0, 50)[:, None], values=np.ones(50),
+                      stage="posterior")
+
+
+def filter_config(**sizes) -> FilterConfig:
+    return FilterConfig(**{"grid": GRID, "n_particles": 50, "n_kernels": 8,
+                           "predict": PredictConfig(mc_samples=4),
+                           "train": TrainConfig(sgd_steps=10), **sizes})
+
+
+def sweep(axis: str, value):
+    cfg = ExperimentConfig(model="ou1d", replications=50,
+                           sweep=SweepSettings(values=(value, 8, 16, 32)))
+    return run_rate_study(axis, cfg)
+
+
+# Each entry point that takes a count: the field its refusal names, and a call
+# that passes the count.  ``sgd_fit`` gets no generator, so a draw made before
+# the check fails with an AttributeError.
+ENTRY_POINTS = {
+    "FilterConfig-n_particles": ("n_particles", lambda v: filter_config(n_particles=v)),
+    "FilterConfig-n_kernels": ("n_kernels", lambda v: filter_config(n_kernels=v)),
+    "bootstrap_pf": ("n_particles", lambda v: bootstrap_pf(MODEL, GRID, OBS, v, seed=0)),
+    "TrainConfig": ("sgd_steps", lambda v: TrainConfig(sgd_steps=v)),
+    "sgd_fit": ("n_kernels", lambda v: sgd_fit(CLOUD, v, TrainConfig(sgd_steps=10), None)),
+    "PredictConfig": ("mc_samples", lambda v: PredictConfig(mc_samples=v)),
+    "StateSpaceModel-dim_state": ("dim_state", lambda v: replace(MODEL, dim_state=v)),
+    "StateSpaceModel-dim_obs": ("dim_obs", lambda v: replace(MODEL, dim_obs=v)),
+    "TimeGrid.uniform": ("steps", lambda v: TimeGrid.uniform(horizon=1.0, steps=v)),
+    "ExperimentConfig-replications": ("replications",
+                                      lambda v: ExperimentConfig(replications=v)),
+    "ExperimentConfig-threads": ("threads", lambda v: ExperimentConfig(threads=v)),
+    "rate_study-replications": ("replications", lambda v: kde_rate_study(replications=v)),
+    "gaussian_bandwidth-n": ("n", lambda v: gaussian_bandwidth(v, 1, 1.0)),
+    "gaussian_bandwidth-dim": ("dim", lambda v: gaussian_bandwidth(100, v, 1.0)),
+    "rates-L": ("sweep value", lambda v: sweep("L", v)),
+    "rates-M": ("sweep value", lambda v: sweep("M", v)),
+    "rates-N": ("sweep value", lambda v: sweep("N", v)),
+    "recurrence-n_samples": ("n_samples", lambda v: estimate_recurrence_coefficient(
+        MODEL, GRID, OBS, n_samples=v)),
+    "recurrence-n_backward": ("n_backward", lambda v: estimate_recurrence_coefficient(
+        MODEL, GRID, OBS, n_backward=v)),
+}
+
+
+@pytest.fixture
+def no_draws_no_files(monkeypatch, tmp_path):
+    """Fail on any stream drawn, or any file written in the working directory."""
+    def draw(*address):
+        raise AssertionError(f"stream {address} drawn before the counts were checked")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fbsdefilter.") and hasattr(module, "substream"):
+            monkeypatch.setattr(module, "substream", draw)
+    monkeypatch.chdir(tmp_path)
+    yield
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", [2.5, True, 0], ids=["fraction", "bool", "zero"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_each_count_is_refused_by_name_before_any_work(no_draws_no_files, entry, value):
+    field, call = ENTRY_POINTS[entry]
+    with pytest.raises(ConfigurationError, match=rf"\b{re.escape(field)}s?\b"):
+        call(value)
+
+
+def test_numpy_integers_are_counts():
+    assert filter_config(n_particles=np.int64(50), n_kernels=np.int64(50)).n_kernels == 50
+    assert TimeGrid.uniform(horizon=1.0, steps=np.int64(4)).steps == 4
+    PredictConfig(mc_samples=np.int64(4))
+    TrainConfig(sgd_steps=np.uint16(10))
+    replace(MODEL, dim_state=np.int64(1), dim_obs=np.int32(1))
+    ExperimentConfig(replications=np.int64(2), threads=np.int64(1))
+    assert gaussian_bandwidth(np.int64(100), np.int8(1), 1.0) == \
+        gaussian_bandwidth(100, 1, 1.0)
+    np.testing.assert_array_equal(bootstrap_pf(MODEL, GRID, OBS, np.int64(50), seed=0).means,
+                                  bootstrap_pf(MODEL, GRID, OBS, 50, seed=0).means)
+    by_array, by_tuple = (kde_rate_study(counts, replications=50)
+                          for counts in (np.array([50, 100, 200, 400]), (50, 100, 200, 400)))
+    assert json.dumps(by_array.to_dict()) == json.dumps(by_tuple.to_dict())
+    np.testing.assert_array_equal(by_array.raw, by_tuple.raw)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fbsdefilter.bayes import DENSITY_FLOOR
+from fbsdefilter.bayes import DENSITY_FLOOR, likelihood_density, step_likelihood
 from fbsdefilter.errors import ConfigurationError, DegenerateObservationError, FilterError
 from fbsdefilter.filtering import (
     FilterConfig,
@@ -26,7 +26,7 @@ from fbsdefilter.filtering import (
 from fbsdefilter.harness import _run_jobs, estimate_recurrence_coefficient
 from fbsdefilter.kde import KernelDensity
 from fbsdefilter.learn import TrainConfig
-from fbsdefilter.model import MODEL_ZOO, LinearGaussian, TimeGrid, get_model, \
+from fbsdefilter.model import MODEL_ZOO, LinearGaussian, TimeGrid, advance, get_model, \
     simulate_truth
 from fbsdefilter.predict import ParticleCloud, PredictConfig
 from fbsdefilter.reference import grid_filter
@@ -536,6 +536,25 @@ class TestBootstrapPf:
         obs = np.array([[0.0], [1.9]])
         with pytest.warns(UserWarning, match="effective sample size"):
             bootstrap_pf(model, grid, obs, 300, seed=15)
+
+    def test_resample_indices_are_those_of_the_unsorted_search(self, monkeypatch):
+        # each step's resampled cloud is what the next step hands to advance
+        model, grid, n = get_model("linear1d"), TimeGrid.uniform(horizon=0.5, steps=5), 3000
+        _truth, obs = simulate_truth(model, grid, seed=17)
+        inputs, moved = [], []
+
+        def recording_advance(model, grid, k, x, rng):
+            inputs.append(x)
+            moved.append(advance(model, grid, k, x, rng))
+            return moved[-1]
+        monkeypatch.setattr("fbsdefilter.filtering.advance", recording_advance)
+        bootstrap_pf(model, grid, obs, n, seed=17)
+        for k in range(1, grid.steps):
+            lik = step_likelihood(model, grid, k, obs[k - 1], obs[k])
+            w = likelihood_density(lik, moved[k - 1])
+            u = substream(17, "pf-resample", k).random(n)
+            idx = np.minimum(np.searchsorted(np.cumsum(w / w.sum()), u, side="right"), n - 1)
+            np.testing.assert_array_equal(inputs[k], moved[k - 1][idx])
 
     def test_refuses_an_empty_cloud(self):
         grid = TimeGrid.uniform(horizon=0.5, steps=5)

@@ -459,6 +459,16 @@ class TestParticleCloud:
             ParticleCloud(locations=[[0.0], [1.0]], values=[1.0, 2.0],
                           stage="prior", ids=[3, 3])
 
+    @pytest.mark.parametrize("ids", [[3.9, 7.2], [True, False]], ids=["fractional", "bool"])
+    def test_ids_other_than_integers_rejected(self, ids):
+        with pytest.raises(ConfigurationError, match="particle ids must be an integer"):
+            ParticleCloud(locations=[[0.0], [1.0]], values=[1.0, 2.0],
+                          stage="prior", ids=ids)
+
+    def test_empty_cloud_constructs_with_empty_ids(self):
+        cloud = ParticleCloud(locations=np.empty((0, 1)), values=[], stage="prior", ids=[])
+        assert cloud.n_particles == 0 and cloud.ids.dtype == np.int64
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             PredictConfig(mc_samples=0)
