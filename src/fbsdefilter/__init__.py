@@ -37,7 +37,7 @@ from .harness import (
     run_experiment,
     run_rate_study,
 )
-from .kde import KernelDensity, gaussian_bandwidth, parzen_estimate, save_density
+from .kde import KernelDensity, gaussian_bandwidth, parzen_estimate
 from .learn import LossReport, TrainConfig, hessian, loss_and_gradients, sgd_fit
 from .model import (
     StateSpaceModel,

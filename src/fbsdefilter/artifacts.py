@@ -24,6 +24,12 @@ def write_csv(path, columns) -> None:
         handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
+def coordinate_columns(prefix: str, table) -> dict:
+    """Columns ``<prefix>0`` to ``<prefix>{d-1}`` of an ``(n, d)`` array, each
+    the ``tolist()`` of one coordinate, for a ``write_csv`` mapping."""
+    return {f"{prefix}{j}": column for j, column in enumerate(table.T.tolist())}
+
+
 def write_json(path, payload) -> None:
     """ASCII JSON with sorted keys, two-space indent and a trailing newline.
 

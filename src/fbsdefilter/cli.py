@@ -8,7 +8,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .artifacts import write_csv, write_json
+from .artifacts import coordinate_columns, write_csv, write_json
 from .errors import FilterError
 from .harness import AXES, ExperimentConfig, estimate_recurrence_coefficient, \
     load_config, run_experiment, run_rate_study, save_report
@@ -35,17 +35,17 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for path, name, series in ((out / "truth.csv", "x", truth), (out / "obs.csv", "o", obs)):
         write_csv(path, {"k": list(range(grid.steps + 1)), "t": grid.knots.tolist(),
-                         **{f"{name}{j}": column for j, column in enumerate(series.T.tolist())}})
+                         **coordinate_columns(name, series)})
     print(f"wrote {out / 'truth.csv'} and {out / 'obs.csv'}")
     return 0
 
 
 def _cmd_filter(args) -> int:
     cfg = _load_cfg(args)
-    artifacts = run_experiment(cfg)
-    print(f"experiment artifacts under {artifacts.out_dir}")
-    if artifacts.error_path is not None:
-        print(f"oracle error table: {artifacts.error_path}")
+    error_path = run_experiment(cfg)
+    print(f"experiment artifacts under {Path(cfg.out_dir)}")
+    if error_path is not None:
+        print(f"oracle error table: {error_path}")
     return 0
 
 

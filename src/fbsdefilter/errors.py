@@ -37,11 +37,12 @@ def check_count(name: str, value, low: int | None = 1, high: int | None = None,
                 high_name: str | None = None):
     """Return ``value`` if it is an integer in ``[low, high]``, else refuse it.
 
-    A bool or a float never passes; an array does when it is empty, or of an
-    integer dtype with every entry in bounds.  ``None`` leaves a bound open.
+    A bool or a float never passes; a Python ``int`` of any size does, and an
+    array when it is empty, or of an integer dtype with every entry in bounds.
+    ``None`` leaves a bound open: a seed is ``check_count("seed", seed, None)``.
     """
     values = np.asarray(value)
-    if values.size and values.dtype.kind not in "iu":
+    if values.size and values.dtype.kind not in "iu" and type(value) is not int:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     too_low = low is not None and np.any(values < low)
     if high is not None and (too_low or np.any(values > high)):

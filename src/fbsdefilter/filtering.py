@@ -15,12 +15,12 @@ from typing import Callable
 
 import numpy as np
 
-from .artifacts import write_csv, write_json
+from .artifacts import coordinate_columns, write_csv, write_json
 from .bayes import DENSITY_FLOOR, bayes_update, denominator_mc, likelihood_density, \
     step_likelihood
 from .errors import ConfigurationError, DegenerateObservationError, FilterError, \
     check_count
-from .kde import KernelDensity, _as_points, save_density
+from .kde import KernelDensity, _as_points
 from .learn import TrainConfig, sgd_fit
 from .model import StateSpaceModel, TimeGrid, advance, check_drift_divergence
 from .predict import ParticleCloud, PredictConfig, check_contraction, predict_cloud
@@ -47,6 +47,7 @@ class FilterConfig:
     def __post_init__(self):
         check_count("n_particles", self.n_particles)
         check_count("n_kernels", self.n_kernels, 1, self.n_particles, "n_particles")
+        check_count("seed", self.seed, None)
 
 
 @dataclass
@@ -55,9 +56,6 @@ class StepDiagnostics:
     acceptance_rate: float = math.nan
     negative_mass_fraction: float = math.nan
     kd_mass: float = math.nan
-
-    def to_dict(self, k: int) -> dict:
-        return {"k": k, **asdict(self)}
 
 
 @dataclass
@@ -194,18 +192,23 @@ def run_filter(model: StateSpaceModel, observations: Array, cfg: FilterConfig,
 
 
 def write_checkpoint(state: FilterState, out_dir) -> None:
-    """Per-step artifact: mixture file, particle table, diagnostics record."""
+    """Per-step artifacts: the mixture table ``c0..c{d-1},weight,bandwidth``, one
+    row per component (none at step 0, whose density is exact), the particle
+    table ``index,x0..x{d-1},value`` and the diagnostics record."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tag = f"{state.k:04d}"
-    if isinstance(state.density, KernelDensity):
-        save_density(state.density, out / f"kd_step_{tag}.txt")
+    kd = state.density
+    if isinstance(kd, KernelDensity):
+        write_csv(out / f"kd_step_{tag}.txt",
+                  {**coordinate_columns("c", kd.centers), "weight": kd.weights.tolist(),
+                   "bandwidth": kd.bandwidths.tolist()})
     cloud = state.cloud
     write_csv(out / f"particles_step_{tag}.csv",
-              {"index": cloud.ids.tolist(),
-               **{f"x{j}": column for j, column in enumerate(cloud.locations.T.tolist())},
+              {"index": cloud.ids.tolist(), **coordinate_columns("x", cloud.locations),
                "value": cloud.values.tolist()})
-    write_json(out / f"diagnostics_step_{tag}.json", state.diagnostics.to_dict(state.k))
+    write_json(out / f"diagnostics_step_{tag}.json",
+               {"k": state.k, **asdict(state.diagnostics)})
 
 
 # --- baselines ----------------------------------------------------------------
@@ -286,6 +289,7 @@ def bootstrap_pf(model: StateSpaceModel, grid: TimeGrid, observations: Array,
     standard deviation per coordinate, and the effective sample size.
     """
     check_count("n_particles", n_particles)
+    check_count("seed", seed, None)
     observations = grid.observation_rows(observations)
     means = np.empty((grid.steps + 1, model.dim_state))
     stds = np.empty_like(means)

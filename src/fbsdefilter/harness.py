@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .artifacts import write_csv, write_json
+from .artifacts import coordinate_columns, write_csv, write_json
 from .bayes import DENSITY_FLOOR, denominator_mc, likelihood_density, step_likelihood
 from .errors import ConfigurationError, DegenerateObservationError, FilterError, \
     check_count
@@ -215,6 +215,7 @@ def kde_rate_study(sample_counts=(250, 1000, 4000, 16000), dim: int = 1,
     at the origin is known exactly, so the only error source is the
     estimator itself.
     """
+    check_count("seed", seed, None)
     counts = sorted(int(check_count("L sweep value", n)) for n in sample_counts)
     check_slope_claim(replications, counts)
     truth = (2.0 * math.pi) ** (-dim / 2.0)
@@ -256,6 +257,7 @@ def prediction_rate_study(mc_counts=(16, 64, 256, 1024), replications: int = 200
     left is the reverse-sample average; its mean squared error at fixed probe
     points is pure Monte Carlo variance.
     """
+    check_count("seed", seed, None)
     model = model if model is not None else get_model("ou1d")
     if model.dim_state != 1:
         raise ConfigurationError("prediction study needs a scalar-state model")
@@ -295,6 +297,7 @@ def denominator_rate_study(particle_counts=(100, 1000, 10000, 100000),
                            model: StateSpaceModel | None = None, dt: float = 0.1,
                            threads: int = 1) -> ConvergenceReport:
     """Observation-normalizer sample mean against its quadrature integral."""
+    check_count("seed", seed, None)
     model = model if model is not None else get_model("ou1d")
     if model.dim_state != 1 or model.dim_obs != 1:
         raise ConfigurationError("denominator study needs scalar state and observation")
@@ -333,6 +336,7 @@ def dt_rate_study(step_sizes=(0.1, 0.05, 0.025, 0.0125), replications: int = 200
     explicit scheme already coincides with the higher-order correction, so
     the observed slope sits near 1 even though the guaranteed floor is 0.5.
     """
+    check_count("seed", seed, None)
     model = model if model is not None else get_model("ou1d")
     lin = model.linear
     if model.dim_state != 1 or lin is None:
@@ -408,6 +412,7 @@ class ExperimentConfig:
     def __post_init__(self):
         check_count("replications", self.replications)
         check_count("threads", self.threads)
+        check_count("seed", self.seed, None)
         if len(self.sweep.values) and min(self.sweep.values) <= 0:
             raise ConfigurationError("sweep values must be positive")
 
@@ -421,9 +426,6 @@ class ExperimentConfig:
             train=TrainConfig(sgd_steps=fs.sgd_steps),
             seed=self.seed if seed is None else seed,
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # What a config value of each scalar field type must be; a bool is no number.
@@ -528,6 +530,7 @@ def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
     """
     check_count("n_samples", n_samples)
     check_count("n_backward", n_backward)
+    check_count("seed", seed, None)
     observations = grid.observation_rows(observations)
     states = np.asarray(model.initial_sampler(n_samples,
                                               substream(seed, "recur-init")), dtype=float)
@@ -570,13 +573,6 @@ def save_report(report: ConvergenceReport, out_dir) -> None:
                "squared_error": report.raw.ravel().tolist()})
 
 
-@dataclass
-class ExperimentArtifacts:
-    out_dir: Path
-    summary_path: Path
-    error_path: Path | None
-
-
 def _posterior_mean_std(state) -> tuple[Array, Array]:
     if isinstance(state.density, KernelDensity):
         mean, cov, _mass = state.density.moments()
@@ -617,15 +613,18 @@ def _run_single_replication(model: StateSpaceModel, cfg: FilterConfig,
     for prefix, series in (("truth_x", truth), ("obs_o", obs), ("post_mean_x", post_mean),
                            ("post_std_x", post_std), ("pf_mean_x", pf.means),
                            *((f"{name}_x", table) for name, table in oracle.items())):
-        columns.update((f"{prefix}{j}", column) for j, column in enumerate(series.T.tolist()))
+        columns.update(coordinate_columns(prefix, series))
     for name in ("kd_mass", "acceptance_rate", "denominator", "negative_mass_fraction"):
         columns[name] = [float(getattr(s.diagnostics, name)) for s in states]
     write_csv(rep_dir / "summary.csv", columns)
     return {"post_mean": post_mean, "pf_mean": pf.means, **oracle}
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
+def run_experiment(cfg: ExperimentConfig) -> Path | None:
     """Simulate, filter, compare against the available oracle, write artifacts.
+
+    Returns the path of ``errors_vs_oracle.csv`` under ``cfg.out_dir``, or
+    ``None`` for a model with no oracle, which gets no error table.
 
     Every replication is an independent deterministic job keyed by the
     experiment seed; ``cfg.threads`` worker processes run them, and output
@@ -641,27 +640,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
     check_contraction(model, fcfg.predict, fcfg.grid.max_dt)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "config.json", cfg.to_dict())
+    write_json(out / "config.json", asdict(cfg))
 
     jobs = [lambda rep=rep: _run_single_replication(model, fcfg, rep, out)
             for rep in range(cfg.replications)]
     results = _run_jobs(jobs, cfg.threads)
 
-    error_path = None
-    if "oracle_mean" in results[0]:
-        # (replications, steps + 1, d) each
-        stacked = {key: np.stack([r[key] for r in results]) for key in results[0]}
-        fbsde_err = np.abs(stacked["post_mean"] - stacked["oracle_mean"]).max(axis=2)
-        pf_err = np.abs(stacked["pf_mean"] - stacked["oracle_mean"]).max(axis=2)
-        scale = stacked["oracle_std"].max(axis=2)
-        error_path = out / "errors_vs_oracle.csv"
-        write_csv(error_path, {
-            "k": list(range(fcfg.grid.steps + 1)),
-            "fbsde_abs_err_median": np.median(fbsde_err, axis=0).tolist(),
-            "pf_abs_err_median": np.median(pf_err, axis=0).tolist(),
-            "fbsde_err_over_oracle_std_median":
-                np.median(fbsde_err / np.maximum(scale, 1e-300), axis=0).tolist()})
-
-    summary_path = out / "rep_000" / "summary.csv"
-    return ExperimentArtifacts(out_dir=out, summary_path=summary_path,
-                               error_path=error_path)
+    if "oracle_mean" not in results[0]:
+        return None
+    # (replications, steps + 1, d) each
+    stacked = {key: np.stack([r[key] for r in results]) for key in results[0]}
+    fbsde_err = np.abs(stacked["post_mean"] - stacked["oracle_mean"]).max(axis=2)
+    pf_err = np.abs(stacked["pf_mean"] - stacked["oracle_mean"]).max(axis=2)
+    scale = stacked["oracle_std"].max(axis=2)
+    error_path = out / "errors_vs_oracle.csv"
+    write_csv(error_path, {
+        "k": list(range(fcfg.grid.steps + 1)),
+        "fbsde_abs_err_median": np.median(fbsde_err, axis=0).tolist(),
+        "pf_abs_err_median": np.median(pf_err, axis=0).tolist(),
+        "fbsde_err_over_oracle_std_median":
+            np.median(fbsde_err / np.maximum(scale, 1e-300), axis=0).tolist()})
+    return error_path

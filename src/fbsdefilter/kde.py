@@ -221,17 +221,6 @@ class KernelDensity:
         return mean, cov, float(mass)
 
 
-def save_density(kd: KernelDensity, path) -> None:
-    """Write one component per line: center coords, weight, bandwidth.
-
-    Floats are written with ``repr`` so the file round-trips exactly.
-    """
-    with open(path, "w", encoding="ascii") as handle:
-        for l in range(kd.n_components):
-            row = [*kd.centers[l], kd.weights[l], kd.bandwidths[l]]
-            handle.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
 # --- classical fixed-bandwidth estimator ------------------------------------
 
 def mse_rate_exponent(dim: int) -> float:

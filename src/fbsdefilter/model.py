@@ -246,6 +246,7 @@ def simulate_truth(model: StateSpaceModel, grid: TimeGrid, seed: int) -> tuple[A
     drift term uses the right-endpoint state, matching the likelihood used in
     the update step.
     """
+    check_count("seed", seed, None)
     rng_state = substream(seed, "truth-state")
     rng_obs = substream(seed, "truth-obs")
     n_steps = grid.steps

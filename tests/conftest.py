@@ -34,22 +34,17 @@ def make_model_1d(drift, divergence=None, sigma=1.0, obs_map=None, obs_noise=1.0
 
 
 def load_density(path) -> KernelDensity:
-    """Read a mixture written by ``kde.save_density``: one component per line."""
-    centers, weights, bandwidths = [], [], []
+    """Read the mixture table of ``filtering.write_checkpoint``: a header
+    ``c0,...,c{d-1},weight,bandwidth``, then one component per row."""
     with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 3:
-                raise ConfigurationError(f"malformed kernel record: {line!r}")
-            values = [float(p) for p in parts]
-            centers.append(values[:-2])
-            weights.append(values[-2])
-            bandwidths.append(values[-1])
-    if not centers:
-        raise ConfigurationError(f"no kernel components found in {path}")
-    return KernelDensity(np.array(centers), np.array(weights), np.array(bandwidths))
+        header, *rows = [line.rstrip("\n").split(",") for line in handle]
+    dim = len(header) - 2
+    if dim < 1 or header != [f"c{j}" for j in range(dim)] + ["weight", "bandwidth"]:
+        raise ConfigurationError(f"not a mixture table header: {header!r}")
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise ConfigurationError(f"malformed kernel records in {path}")
+    table = np.array([[float(cell) for cell in row] for row in rows])
+    return KernelDensity(table[:, :dim], table[:, dim], table[:, dim + 1])
 
 
 def write_csv_rows(path, header, rows) -> None:

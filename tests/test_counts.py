@@ -1,4 +1,5 @@
-"""The count rule: every size, count and count-axis sweep value is an integer in bounds."""
+"""The count rule: every size, count and count-axis sweep value is an integer in bounds,
+and every seed an integer."""
 
 import json
 import re
@@ -10,12 +11,14 @@ import pytest
 
 from fbsdefilter.errors import ConfigurationError
 from fbsdefilter.filtering import FilterConfig, bootstrap_pf
-from fbsdefilter.harness import ExperimentConfig, SweepSettings, \
-    estimate_recurrence_coefficient, kde_rate_study, run_rate_study
+from fbsdefilter.harness import ExperimentConfig, SweepSettings, denominator_rate_study, \
+    dt_rate_study, estimate_recurrence_coefficient, kde_rate_study, prediction_rate_study, \
+    run_rate_study
 from fbsdefilter.kde import gaussian_bandwidth
 from fbsdefilter.learn import TrainConfig, sgd_fit
-from fbsdefilter.model import TimeGrid, get_model
+from fbsdefilter.model import TimeGrid, get_model, simulate_truth
 from fbsdefilter.predict import ParticleCloud, PredictConfig
+from fbsdefilter.rngs import substream
 
 MODEL = get_model("linear1d")
 GRID = TimeGrid.uniform(horizon=1.0, steps=4)
@@ -101,3 +104,39 @@ def test_numpy_integers_are_counts():
                           for counts in (np.array([50, 100, 200, 400]), (50, 100, 200, 400)))
     assert json.dumps(by_array.to_dict()) == json.dumps(by_tuple.to_dict())
     np.testing.assert_array_equal(by_array.raw, by_tuple.raw)
+
+
+# Each entry point that takes a seed, called with it.
+SEED_ENTRY_POINTS = {
+    "FilterConfig": lambda s: filter_config(seed=s),
+    "ExperimentConfig": lambda s: ExperimentConfig(seed=s),
+    "bootstrap_pf": lambda s: bootstrap_pf(MODEL, GRID, OBS, 50, s),
+    "simulate_truth": lambda s: simulate_truth(MODEL, GRID, s),
+    "recurrence": lambda s: estimate_recurrence_coefficient(MODEL, GRID, OBS, seed=s),
+    "kde_rate_study": lambda s: kde_rate_study(replications=50, seed=s),
+    "prediction_rate_study": lambda s: prediction_rate_study(replications=50, seed=s),
+    "denominator_rate_study": lambda s: denominator_rate_study(replications=50, seed=s),
+    "dt_rate_study": lambda s: dt_rate_study(replications=50, seed=s),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=["fraction", "bool", "string"])
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+def test_each_seed_is_refused_unless_an_integer_before_any_work(no_draws_no_files, entry,
+                                                                 value):
+    # 2.5 would address seed 2's streams and True seed 1's
+    with pytest.raises(ConfigurationError, match=r"\bseed must be an integer\b"):
+        SEED_ENTRY_POINTS[entry](value)
+
+
+def test_every_integer_is_a_seed():
+    for seed in (0, -3, 2**64, np.int64(-3), np.uint64(2**64 - 1)):
+        filter_config(seed=seed)
+        ExperimentConfig(seed=seed)
+    truth, obs = simulate_truth(MODEL, GRID, np.int64(-3))
+    np.testing.assert_array_equal(truth, simulate_truth(MODEL, GRID, -3)[0])
+    np.testing.assert_array_equal(bootstrap_pf(MODEL, GRID, obs, 50, np.int64(-3)).means,
+                                  bootstrap_pf(MODEL, GRID, obs, 50, -3).means)
+    # a seed is its decimal address: no two integers share a stream
+    draws = {seed: substream(seed, "x").random() for seed in (0, 2**64, -3, 3)}
+    assert len(set(draws.values())) == 4

@@ -4,7 +4,7 @@ import os
 import re
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -285,7 +285,7 @@ class TestExperimentConfig:
                                grid=GridSettings(horizon=0.5, steps=5),
                                filter=FilterSettings(n_particles=100))
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(asdict(cfg)))
         back = load_config(path)
         assert back.model == "ou1d"
         assert back.grid.steps == 5
@@ -313,14 +313,14 @@ class TestRunExperiment:
     def test_smoke_run_completes_quickly_with_expected_artifacts(self, tmp_path):
         cfg = self._smoke_cfg(tmp_path)
         start = time.monotonic()
-        artifacts = run_experiment(cfg)
+        error_path = run_experiment(cfg)
         elapsed = time.monotonic() - start
         assert elapsed < 60.0
-        summary = Path(artifacts.summary_path).read_text().splitlines()
+        assert error_path == Path(cfg.out_dir) / "errors_vs_oracle.csv"
+        rep_dir = Path(cfg.out_dir) / "rep_000"
+        summary = (rep_dir / "summary.csv").read_text().splitlines()
         assert summary[0].startswith("k,t,truth_x0,obs_o0,post_mean_x0")
         assert len(summary) == 7
-        assert artifacts.error_path is not None
-        rep_dir = Path(cfg.out_dir) / "rep_000"
 
         def refuse(token):
             raise ValueError(f"{token} is not JSON")
@@ -343,7 +343,7 @@ class TestRunExperiment:
                               filter=FilterSettings(n_particles=200, mc_samples=16,
                                                     n_kernels=16, sgd_steps=500,
                                                     variant="left_point"))
-        artifacts = run_experiment(cfg)
+        run_experiment(cfg)
         summaries = []
         for rep in range(3):
             lines = (Path(cfg.out_dir) / f"rep_{rep:03d}" / "summary.csv").read_text() \
@@ -363,7 +363,8 @@ class TestRunExperiment:
         write_csv_rows(tmp_path / "rows.csv",
                        ["k", "fbsde_abs_err_median", "pf_abs_err_median",
                         "fbsde_err_over_oracle_std_median"], rows)
-        assert Path(artifacts.error_path).read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert (Path(cfg.out_dir) / "errors_vs_oracle.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_rerun_is_byte_identical(self, tmp_path):

@@ -15,11 +15,12 @@ from fbsdefilter.kde import (
     gaussian_bandwidth,
     mse_rate_exponent,
     parzen_estimate,
-    save_density,
 )
+from fbsdefilter.filtering import FilterState, write_checkpoint
+from fbsdefilter.predict import ParticleCloud
 from fbsdefilter.rngs import substream
 
-from conftest import load_density
+from conftest import load_density, write_csv_rows
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -255,22 +256,32 @@ class TestSample:
 
 class TestSerialization:
     def test_exact_round_trip(self, tmp_path):
+        # a checkpoint's mixture table reads back bit for bit; its cells are
+        # the row writer's repr(float(.)) of each center coordinate, weight
+        # and bandwidth, the cells of the space-separated file it replaced
         rng = substream(7, "kde-io")
         kd = KernelDensity(rng.standard_normal((5, 3)),
                            rng.standard_normal(5),
                            np.abs(rng.standard_normal(5)) + 0.1)
-        path = tmp_path / "kernels.txt"
-        save_density(kd, path)
+        cloud = ParticleCloud(locations=rng.standard_normal((4, 3)), values=np.ones(4),
+                              stage="posterior")
+        write_checkpoint(FilterState(k=1, cloud=cloud, density=kd), tmp_path)
+        path = tmp_path / "kd_step_0001.txt"
+        write_csv_rows(tmp_path / "rows.csv", ["c0", "c1", "c2", "weight", "bandwidth"],
+                       [[*kd.centers[l], kd.weights[l], kd.bandwidths[l]] for l in range(5)])
+        assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
         back = load_density(path)
         assert np.array_equal(back.centers, kd.centers)
         assert np.array_equal(back.weights, kd.weights)
         assert np.array_equal(back.bandwidths, kd.bandwidths)
 
     def test_malformed_record_rejected(self, tmp_path):
+        # the headerless space-separated format, and a row one cell short
         path = tmp_path / "bad.txt"
-        path.write_text("0.5 1.0\n")
-        with pytest.raises(ConfigurationError):
-            load_density(path)
+        for text in ("0.5 1.0 0.3\n", "c0,weight,bandwidth\n0.5,1.0\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigurationError):
+                load_density(path)
 
 
 class TestBandwidthSpec:
