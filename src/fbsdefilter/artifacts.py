@@ -8,6 +8,7 @@ the same numbers.
 from __future__ import annotations
 
 import json
+import operator
 
 
 def write_csv(path, columns) -> None:
@@ -35,8 +36,11 @@ def write_json(path, payload) -> None:
 
     A non-finite float, which JSON cannot represent, is written as ``null``:
     the payload goes through one plain encoding first, whose ``NaN`` and
-    ``Infinity`` tokens decode to ``None`` and every other value to itself."""
-    payload = json.loads(json.dumps(payload), parse_constant=lambda _token: None)
+    ``Infinity`` tokens decode to ``None`` and every other value to itself.
+    That encoding writes a numpy integer as the integer it holds
+    (``operator.index``); any other value JSON lacks stays a ``TypeError``."""
+    payload = json.loads(json.dumps(payload, default=operator.index),
+                         parse_constant=lambda _token: None)
     with open(path, "w", encoding="ascii") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")

@@ -33,8 +33,8 @@ class TrainConfig:
 
     Rates decay as ``rate / (1 + s / s0)`` with ``s0`` half the step count
     (at least 1).  Every bandwidth starts at the median pairwise distance
-    between the selected centers and is clamped at ``BANDWIDTH_FLOOR_FRAC``
-    times that start.
+    between the selected centers divided by the square root of the state
+    dimension, and is clamped at ``BANDWIDTH_FLOOR_FRAC`` times that start.
     """
 
     sgd_steps: int
@@ -166,7 +166,8 @@ def _initial_bandwidth(centers: Array, locations: Array) -> float:
         sq = _sq_dists(centers, centers)[np.triu_indices(centers.shape[0], k=1)]
     else:
         sq = _sq_dists(locations, centers).ravel()
-    width = float(np.median(np.sqrt(sq)))
+    # the median distance grows like sqrt(d) times the spread of one axis
+    width = float(np.median(np.sqrt(sq))) / math.sqrt(centers.shape[1])
     return width if width > 0 else 1.0
 
 
@@ -174,11 +175,13 @@ def sgd_fit(training: ParticleCloud, n_kernels: int, cfg: TrainConfig,
             rng: np.random.Generator) -> tuple[KernelDensity, LossReport]:
     """Fit a kernel mixture to (location, value) training pairs.
 
-    Centers are a subsample of the cloud; initial weights make the mixture
-    roughly interpolate the values at the centers.  Each step picks one
-    training pair, evaluates the residual and both gradients at the current
-    parameters, then updates weights and bandwidths simultaneously and clamps
-    bandwidths at the floor.  The loop works in preallocated buffers, on
+    Centers are a subsample of the cloud; every bandwidth starts at their
+    median pairwise distance over the square root of the dimension (a
+    per-axis width, which leaves d = 1 as it is), and initial weights make
+    the mixture roughly interpolate the values at the centers.  Each step
+    picks one training pair, evaluates the residual and both gradients at the
+    current parameters, then updates weights and bandwidths simultaneously
+    and clamps bandwidths at the floor.  The loop works in preallocated buffers, on
     distances to the centers computed for all picked pairs before it starts.
     Finiteness is checked once, after the last step; when it fails, the fit
     is replayed step by step to name the first step that diverged.

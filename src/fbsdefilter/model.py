@@ -303,30 +303,37 @@ def _gaussian_law(mean, var) -> tuple[Callable[[Array], Array],
     return density, sampler
 
 
-def _linear_gaussian_model(name: str, lin: LinearGaussian) -> StateSpaceModel:
-    """The model whose drift, noise, observation map and initial law are ``lin``.
+def _gaussian_noise_model(name: str, drift: Callable[[Array], Array],
+                          divergence: Callable[[Array], Array], obs_matrix, diffusion,
+                          obs_noise, mean0, cov0,
+                          linear: LinearGaussian | None = None) -> StateSpaceModel:
+    """The zoo's one constructor: a drift and its divergence, observed through
+    ``obs_matrix`` under constant diffusion and observation noise matrices,
+    started from N(``mean0``, ``cov0``).
 
     The initial sampler draws each coordinate independently, so ``cov0``
-    must be diagonal for the model to start from the Kalman prior.
+    must be diagonal; ``linear`` is the Kalman oracle's record of the same
+    coefficients, when the drift is linear.
     """
-    cov0 = lin.cov0
+    cov0 = np.asarray(cov0, dtype=float)
     if not np.array_equal(cov0, np.diag(np.diag(cov0))):
         raise ConfigurationError(f"model {name!r}: initial covariance must be diagonal")
-    F, H = lin.drift_matrix, lin.obs_matrix
-    trace = float(np.trace(F))
-    density, sampler = _gaussian_law(lin.mean0, np.diag(cov0))
+    H, sigma, r = (np.asarray(m, dtype=float) for m in (obs_matrix, diffusion, obs_noise))
+    density, sampler = _gaussian_law(mean0, np.diag(cov0))
     return StateSpaceModel(
-        dim_state=F.shape[0],
-        dim_obs=H.shape[0],
-        drift=lambda x: matvec(F, x),
-        drift_divergence=lambda x: np.full(np.asarray(x).shape[:-1], trace),
-        diffusion=lambda t: lin.diffusion,
-        obs_map=lambda x: matvec(H, x),
-        obs_noise=lambda t: lin.obs_noise,
-        initial_density=density,
-        initial_sampler=sampler,
-        linear=lin,
-    )
+        dim_state=cov0.shape[0], dim_obs=H.shape[0], drift=drift,
+        drift_divergence=divergence, diffusion=lambda t: sigma,
+        obs_map=lambda x: matvec(H, x), obs_noise=lambda t: r,
+        initial_density=density, initial_sampler=sampler, linear=linear)
+
+
+def _linear_gaussian_model(name: str, lin: LinearGaussian) -> StateSpaceModel:
+    """The model whose drift ``F x``, noise, observation map and initial law are ``lin``."""
+    F = lin.drift_matrix
+    trace = float(np.trace(F))
+    return _gaussian_noise_model(
+        name, lambda x: matvec(F, x), lambda x: np.full(np.asarray(x).shape[:-1], trace),
+        lin.obs_matrix, lin.diffusion, lin.obs_noise, lin.mean0, lin.cov0, lin)
 
 
 def make_linear1d() -> StateSpaceModel:
@@ -347,8 +354,6 @@ def make_ou1d() -> StateSpaceModel:
 
 def make_doublewell1d() -> StateSpaceModel:
     """Bistable drift x - x^3; nonlinear stress test, no closed-form filter."""
-    sig, r = 0.5, 0.5
-    density, sampler = _gaussian_law([1.0], [0.25])
 
     def drift(x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -358,17 +363,9 @@ def make_doublewell1d() -> StateSpaceModel:
         x = np.asarray(x, dtype=float)
         return 1.0 - 3.0 * x[..., 0] ** 2
 
-    return StateSpaceModel(
-        dim_state=1,
-        dim_obs=1,
-        drift=drift,
-        drift_divergence=divergence,
-        diffusion=lambda t: np.array([[sig]]),
-        obs_map=lambda x: np.asarray(x, dtype=float),
-        obs_noise=lambda t: np.array([[r]]),
-        initial_density=density,
-        initial_sampler=sampler,
-    )
+    return _gaussian_noise_model("doublewell1d", drift, divergence, obs_matrix=[[1.0]],
+                                 diffusion=[[0.5]], obs_noise=[[0.5]], mean0=[1.0],
+                                 cov0=[[0.25]])
 
 
 def make_linear2d() -> StateSpaceModel:
@@ -380,11 +377,20 @@ def make_linear2d() -> StateSpaceModel:
                                    cov0=0.25 * np.eye(2)))
 
 
+def make_linear4d() -> StateSpaceModel:
+    """linear1d's coefficients on four independent coordinates; dimension ladder."""
+    return _linear_gaussian_model(
+        "linear4d", LinearGaussian(drift_matrix=-0.5 * np.eye(4), obs_matrix=np.eye(4),
+                                   diffusion=0.5 * np.eye(4), obs_noise=0.5 * np.eye(4),
+                                   mean0=np.full(4, 0.5), cov0=0.25 * np.eye(4)))
+
+
 MODEL_ZOO: dict[str, Callable[[], StateSpaceModel]] = {
     "linear1d": make_linear1d,
     "ou1d": make_ou1d,
     "doublewell1d": make_doublewell1d,
     "linear2d": make_linear2d,
+    "linear4d": make_linear4d,
 }
 
 

@@ -5,15 +5,16 @@ import json
 import re
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fbsdefilter.errors import ConfigurationError
 from fbsdefilter.filtering import FilterConfig, bootstrap_pf
-from fbsdefilter.harness import ExperimentConfig, SweepSettings, denominator_rate_study, \
-    dt_rate_study, estimate_recurrence_coefficient, kde_rate_study, prediction_rate_study, \
-    run_rate_study
+from fbsdefilter.harness import ExperimentConfig, FilterSettings, GridSettings, \
+    SweepSettings, denominator_rate_study, dt_rate_study, estimate_recurrence_coefficient, \
+    kde_rate_study, prediction_rate_study, run_experiment, run_rate_study
 from fbsdefilter.kde import gaussian_bandwidth
 from fbsdefilter.learn import TrainConfig, sgd_fit
 from fbsdefilter.model import TimeGrid, get_model, simulate_truth
@@ -104,6 +105,24 @@ def test_numpy_integers_are_counts():
                           for counts in (np.array([50, 100, 200, 400]), (50, 100, 200, 400)))
     assert json.dumps(by_array.to_dict()) == json.dumps(by_tuple.to_dict())
     np.testing.assert_array_equal(by_array.raw, by_tuple.raw)
+
+
+def test_numpy_integers_write_the_files_of_python_integers(tmp_path, monkeypatch):
+    # the same relative out_dir under two working directories, so even
+    # config.json must match byte for byte
+    files = []
+    for sizes in ({"seed": np.int64(3), "replications": np.int64(2), "threads": np.int32(1)},
+                  {"seed": 3, "replications": 2, "threads": 1}):
+        where = tmp_path / type(sizes["seed"]).__name__
+        where.mkdir()
+        monkeypatch.chdir(where)
+        run_experiment(ExperimentConfig(
+            out_dir="out", grid=GridSettings(steps=2), **sizes,
+            filter=FilterSettings(n_particles=20, mc_samples=2, n_kernels=4, sgd_steps=10)))
+        files.append({path.relative_to(where): path.read_bytes()
+                      for path in sorted(where.rglob("*")) if path.is_file()})
+    assert files[0] == files[1]
+    assert Path("out/config.json") in files[0]
 
 
 # Each entry point that takes a seed, called with it.

@@ -418,16 +418,18 @@ def test_references_refuse_an_observation_no_state_explains(consumer):
 
 class TestOracleCompetitiveness:
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_posterior_mean_rmse_within_band_of_bootstrap_baseline(self):
+    @pytest.mark.parametrize("name", ["linear1d", "linear2d"])
+    def test_posterior_mean_rmse_within_band_of_bootstrap_baseline(self, name):
         """Labeled diagnostic: sanity competitiveness, not a convergence claim.
 
-        At matched particle count on the linear-Gaussian model, the learned-
-        density filter's posterior-mean RMSE against the exact recursion must
-        beat the bootstrap baseline or sit within 25% of it.  Small seed sets
-        misestimate the baseline RMSE by +-30%, so this runs 10 seeds; the
-        ratio stabilizes near 1.07 (16 seeds give 1.066).
+        At matched particle count on a linear-Gaussian model, the learned-
+        density filter's posterior-mean RMSE against the exact recursion,
+        pooled over every coordinate and step, must beat the bootstrap
+        baseline or sit within 25% of it.  Small seed sets misestimate the
+        baseline RMSE by +-30%, so this runs 10 seeds; the ratio stabilizes
+        near 1.07 on linear1d (16 seeds give 1.066) and reads 1.14 on linear2d.
         """
-        model = get_model("linear1d")
+        model = get_model(name)
         grid = TimeGrid.uniform(horizon=1.0, steps=10)
 
         def seed_squared_errors(seed):
@@ -438,12 +440,11 @@ class TestOracleCompetitiveness:
                                train=TrainConfig(sgd_steps=8000), seed=seed)
             states = run_filter(model, obs, cfg)
             pf = bootstrap_pf(model, grid, obs, cfg.n_particles, seed)
-            sq_filter, sq_pf = [], []
-            for k in range(1, grid.steps + 1):
-                mean, _cov, _mass = states[k].density.moments()
-                sq_filter.append((mean[0] - kal.means[k, 0]) ** 2)
-                sq_pf.append((pf.means[k, 0] - kal.means[k, 0]) ** 2)
-            return sq_filter, sq_pf
+            means = np.array([states[k].density.moments()[0]
+                              for k in range(1, grid.steps + 1)])
+            oracle = kal.means[1:]
+            return ((means - oracle) ** 2).ravel().tolist(), \
+                ((pf.means[1:] - oracle) ** 2).ravel().tolist()
 
         per_seed = _run_jobs([lambda s=s: seed_squared_errors(s) for s in range(10)],
                              len(os.sched_getaffinity(0)))

@@ -147,6 +147,16 @@ class TestSgdFit:
     def _cloud_from(self, locations, values):
         return ParticleCloud(locations=locations, values=values, stage="posterior")
 
+    def test_start_width_is_a_per_axis_width(self):
+        # d copies of one coordinate stretch every distance by sqrt(d), and the
+        # start width divides the stretch out again; at d = 1 it is the median
+        line = substream(4, "start-width").standard_normal((40, 1))
+        median = float(np.median(np.abs(line - line.T)[np.triu_indices(40, k=1)]))
+        assert _initial_bandwidth(line, line) == median
+        for dim in (2, 4, 8):
+            copies = np.repeat(line, dim, axis=1)
+            assert _initial_bandwidth(copies, copies) == pytest.approx(median, rel=1e-14)
+
     def test_exact_fixed_point_keeps_parameters(self):
         # a component centred on the one pair with the pair's value as weight
         # interpolates it exactly: zero residual and zero gradients, so no

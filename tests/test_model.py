@@ -8,8 +8,10 @@ from scipy import stats
 
 from fbsdefilter.errors import ConfigurationError, ModelBlowUpError
 from fbsdefilter.model import (
+    MODEL_ZOO,
     LinearGaussian,
     TimeGrid,
+    _gaussian_law,
     _linear_gaussian_model,
     backward_sample,
     check_drift_divergence,
@@ -22,6 +24,18 @@ from fbsdefilter.model import (
 from fbsdefilter.rngs import substream
 
 from conftest import make_model_1d, ou_exact_moments
+
+# Each zoo model's declared Gaussian coefficients: observation matrix,
+# diffusion, observation noise, initial mean and initial covariance.
+DECLARED = {
+    "linear1d": ([[1.0]], [[0.5]], [[0.5]], [0.5], [[0.25]]),
+    "ou1d": ([[1.0]], [[1.0]], [[1.0]], [0.0], [[0.5]]),
+    "doublewell1d": ([[1.0]], [[0.5]], [[0.5]], [1.0], [[0.25]]),
+    "linear2d": (np.eye(2), 0.4 * np.eye(2), 0.5 * np.eye(2), [0.0, 0.0], 0.25 * np.eye(2)),
+    "linear4d": (np.eye(4), 0.5 * np.eye(4), 0.5 * np.eye(4), np.full(4, 0.5),
+                 0.25 * np.eye(4)),
+}
+ZOO = list(MODEL_ZOO)
 
 
 class TestEulerStep:
@@ -141,7 +155,7 @@ class TestSimulateTruth:
 
 
 class TestDriftDivergence:
-    @pytest.mark.parametrize("name", ["linear1d", "ou1d", "doublewell1d", "linear2d"])
+    @pytest.mark.parametrize("name", ZOO)
     def test_zoo_divergence_consistent_with_finite_differences(self, name):
         check_drift_divergence(get_model(name))
 
@@ -181,28 +195,22 @@ class TestTimeGrid:
 
 
 class TestInitialLaw:
-    @pytest.mark.parametrize("name", ["linear1d", "ou1d", "doublewell1d", "linear2d"])
+    @pytest.mark.parametrize("name", ZOO)
     def test_density_nonnegative_and_sampler_moments(self, name):
         model = get_model(name)
-        rng = substream(3, "init-law", hash(name) % 1000)
+        rng = substream(3, f"init-law-{name}")
         draws = model.initial_sampler(100_000, rng)
         assert np.all(model.initial_density(draws) >= 0)
-        lin = model.linear
-        if lin is None:
-            mean, var = 1.0, 0.25  # bistable zoo entry
-            mean_vec, var_vec = np.array([mean]), np.array([var])
-        else:
-            mean_vec = lin.mean0
-            var_vec = np.diag(lin.cov0)
-            np.testing.assert_allclose(
-                model.initial_density(draws[:100]),
-                stats.multivariate_normal(lin.mean0, lin.cov0).pdf(draws[:100]),
-                rtol=1e-12)
+        *_, mean0, cov0 = DECLARED[name]
+        np.testing.assert_allclose(model.initial_density(draws[:100]),
+                                   stats.multivariate_normal(mean0, cov0).pdf(draws[:100]),
+                                   rtol=1e-12)
+        var0 = np.diag(cov0)
         for j in range(model.dim_state):
-            se_mean = math.sqrt(var_vec[j] / draws.shape[0])
-            assert abs(draws[:, j].mean() - mean_vec[j]) < 4.0 * se_mean
-            se_var = var_vec[j] * math.sqrt(2.0 / draws.shape[0])
-            assert abs(draws[:, j].var(ddof=1) - var_vec[j]) < 4.0 * se_var
+            se_mean = math.sqrt(var0[j] / draws.shape[0])
+            assert abs(draws[:, j].mean() - mean0[j]) < 4.0 * se_mean
+            se_var = var0[j] * math.sqrt(2.0 / draws.shape[0])
+            assert abs(draws[:, j].var(ddof=1) - var0[j]) < 4.0 * se_var
 
     def test_linear_model_refuses_correlated_initial_law(self):
         # the sampler draws coordinates independently and would not follow
@@ -212,6 +220,32 @@ class TestInitialLaw:
                              mean0=[0.0, 0.0], cov0=[[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(ConfigurationError, match="diagonal"):
             _linear_gaussian_model("correlated", lin)
+
+
+class TestZooCoefficients:
+    @pytest.mark.parametrize("name", ZOO)
+    def test_maps_equal_the_declared_coefficients_bit_for_bit(self, name):
+        model = get_model(name)
+        obs_matrix, diffusion, obs_noise, mean0, cov0 = DECLARED[name]
+        # every declared observation matrix is the identity, so the exact
+        # product is the state itself; a -0.0 state would come back as +0.0
+        states = np.linspace(-2.05, 1.95, 9 * model.dim_state).reshape(9, -1)
+        assert not np.any(np.signbit(states) & (states == 0))
+        np.testing.assert_array_equal(obs_matrix, np.eye(model.dim_state))
+        assert np.array_equal(model.obs_map(states), states)
+        for t in (0.0, 0.35, 2.0):
+            assert np.array_equal(model.diffusion(t), diffusion)
+            assert np.array_equal(model.obs_noise(t), obs_noise)
+        density, _sampler = _gaussian_law(mean0, np.diag(cov0))
+        assert np.array_equal(model.initial_density(states), density(states))
+        lin = model.linear
+        if lin is not None:
+            for declared, recorded in ((obs_matrix, lin.obs_matrix),
+                                       (diffusion, lin.diffusion),
+                                       (obs_noise, lin.obs_noise), (mean0, lin.mean0),
+                                       (cov0, lin.cov0)):
+                assert np.array_equal(recorded, declared)
+            assert np.array_equal(model.drift(states), states @ lin.drift_matrix.T)
 
 
 class TestModelRegistry:
