@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import operator
 
+import numpy as np
+
 
 def write_csv(path, columns) -> None:
     """ASCII table from a mapping of column name to an equal-length list of
@@ -37,9 +39,11 @@ def write_json(path, payload) -> None:
     A non-finite float, which JSON cannot represent, is written as ``null``:
     the payload goes through one plain encoding first, whose ``NaN`` and
     ``Infinity`` tokens decode to ``None`` and every other value to itself.
-    That encoding writes a numpy integer as the integer it holds
-    (``operator.index``); any other value JSON lacks stays a ``TypeError``."""
-    payload = json.loads(json.dumps(payload, default=operator.index),
+    That encoding writes a numpy array as its ``tolist()`` and a numpy
+    integer as the integer it holds (``operator.index``); any other value
+    JSON lacks stays a ``TypeError``."""
+    plain = lambda v: v.tolist() if isinstance(v, np.ndarray) else operator.index(v)
+    payload = json.loads(json.dumps(payload, default=plain),
                          parse_constant=lambda _token: None)
     with open(path, "w", encoding="ascii") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)

@@ -68,9 +68,7 @@ def _cmd_diagnose(args) -> int:
     diag = estimate_recurrence_coefficient(model, grid, obs, seed=cfg.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {"model": cfg.model, **asdict(diag),
-               "per_step_ratios": diag.per_step_ratios.tolist()}
-    write_json(out / "recurrence.json", payload)
+    write_json(out / "recurrence.json", {"model": cfg.model, **asdict(diag)})
     print(f"recurrence estimate {diag.r_hat:.4f}")
     return 0
 

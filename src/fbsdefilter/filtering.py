@@ -21,7 +21,7 @@ from .bayes import DENSITY_FLOOR, bayes_update, denominator_mc, likelihood_densi
 from .errors import ConfigurationError, DegenerateObservationError, FilterError, \
     check_count
 from .kde import KernelDensity, _as_points
-from .learn import TrainConfig, sgd_fit
+from .learn import LossReport, TrainConfig, sgd_fit
 from .model import StateSpaceModel, TimeGrid, advance, check_drift_divergence
 from .predict import ParticleCloud, PredictConfig, check_contraction, predict_cloud
 from .rngs import substream
@@ -52,10 +52,10 @@ class FilterConfig:
 
 @dataclass
 class StepDiagnostics:
-    denominator: float = math.nan
-    acceptance_rate: float = math.nan
-    negative_mass_fraction: float = math.nan
     kd_mass: float = math.nan
+    acceptance_rate: float = math.nan
+    denominator: float = math.nan
+    negative_mass_fraction: float = math.nan
 
 
 @dataclass
@@ -74,6 +74,7 @@ class FilterState:
     cloud: ParticleCloud
     density: KernelDensity | InitialDensity
     diagnostics: StepDiagnostics = field(default_factory=StepDiagnostics)
+    fit: LossReport | None = None
 
 
 def initialize(model: StateSpaceModel, cfg: FilterConfig) -> FilterState:
@@ -151,8 +152,8 @@ def step(state: FilterState, model: StateSpaceModel, obs_prev: Array,
         lik = step_likelihood(model, cfg.grid, k, obs_prev, obs_now)
         posterior = bayes_update(prior, lik)
         denominator = denominator_mc(prior, lik)
-        kd, _report = sgd_fit(posterior, cfg.n_kernels, cfg.train,
-                              substream(cfg.seed, "sgd", k))
+        kd, fit = sgd_fit(posterior, cfg.n_kernels, cfg.train,
+                          substream(cfg.seed, "sgd", k))
         cloud = metropolis_resample(
             posterior, kd, lambda pid: substream(cfg.seed, "resample", k, pid))
     except FilterError as err:
@@ -161,13 +162,12 @@ def step(state: FilterState, model: StateSpaceModel, obs_prev: Array,
     neg_frac = kd.negative_mass_fraction()
     if neg_frac > NEGATIVE_MASS_WARN:
         warnings.warn(
-            f"step {k}: negative kernel mass fraction {neg_frac:.3f} exceeds "
-            f"{NEGATIVE_MASS_WARN:.3f}", stacklevel=2)
+            f"step {k}: negative kernel mass fraction {neg_frac!r} exceeds "
+            f"{NEGATIVE_MASS_WARN!r}", stacklevel=2)
     moved = int(np.any(cloud.locations != posterior.locations, axis=1).sum())
-    diag = StepDiagnostics(denominator=denominator,
-                           acceptance_rate=moved / cloud.n_particles,
-                           negative_mass_fraction=neg_frac, kd_mass=kd.mass())
-    return FilterState(k=k, cloud=cloud, density=kd, diagnostics=diag)
+    diag = StepDiagnostics(kd_mass=kd.mass(), acceptance_rate=moved / cloud.n_particles,
+                           denominator=denominator, negative_mass_fraction=neg_frac)
+    return FilterState(k=k, cloud=cloud, density=kd, diagnostics=diag, fit=fit)
 
 
 def run_filter(model: StateSpaceModel, observations: Array, cfg: FilterConfig,

@@ -14,7 +14,7 @@ import sys
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, get_type_hints
 
@@ -27,7 +27,7 @@ from .errors import ConfigurationError, DegenerateObservationError, FilterError,
 from .filtering import FilterConfig, bootstrap_pf, kalman_filter, run_filter, \
     write_checkpoint
 from .kde import KernelDensity, mse_rate_exponent, parzen_estimate
-from .learn import TrainConfig
+from .learn import LossReport, TrainConfig
 from .model import StateSpaceModel, TimeGrid, advance, backward_sample, \
     check_drift_divergence, euler_step, get_model, ou_exact_coupled_step, simulate_truth
 from .predict import ParticleCloud, PredictConfig, check_contraction, predict_value
@@ -133,11 +133,6 @@ class ConvergenceReport:
             raise ConfigurationError("statistic must be 'mse' or 'rmse'")
         self.slope, self.intercept, self.slope_half_width = \
             fit_loglog_slope(self.values, self.errors)
-
-    def to_dict(self) -> dict:
-        """Every field but ``raw``, which ``save_report`` writes as a table."""
-        return {key: value.tolist() if isinstance(value, np.ndarray) else value
-                for key, value in asdict(self).items() if key != "raw"}
 
 
 # The jobs of the pool this worker process was forked for.
@@ -466,9 +461,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigurationError("config root must be an object")
     _check_fields(ExperimentConfig, data, "at config root")
     kwargs = dict(data)
-    for section, cls in (("grid", GridSettings), ("filter", FilterSettings),
-                         ("sweep", SweepSettings)):
-        if section in kwargs:
+    for section, cls in get_type_hints(ExperimentConfig).items():
+        if is_dataclass(cls) and section in kwargs:
             kwargs[section] = _build_section(cls, kwargs[section], section)
     return ExperimentConfig(**kwargs)
 
@@ -562,10 +556,12 @@ def estimate_recurrence_coefficient(model: StateSpaceModel, grid: TimeGrid,
 # --- full experiment ------------------------------------------------------------
 
 def save_report(report: ConvergenceReport, out_dir) -> None:
-    """Report JSON plus the raw per-replication table that reproduces it."""
+    """Report JSON of every field but ``raw``, plus ``raw`` as the table that
+    reproduces it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / f"rates_{report.axis}.json", report.to_dict())
+    write_json(out / f"rates_{report.axis}.json",
+               {key: value for key, value in asdict(report).items() if key != "raw"})
     reps, n_values = report.raw.shape
     write_csv(out / f"rates_{report.axis}_raw.csv",
               {"replication": np.repeat(np.arange(reps), n_values).tolist(),
@@ -614,8 +610,11 @@ def _run_single_replication(model: StateSpaceModel, cfg: FilterConfig,
                            ("post_std_x", post_std), ("pf_mean_x", pf.means),
                            *((f"{name}_x", table) for name, table in oracle.items())):
         columns.update(coordinate_columns(prefix, series))
-    for name in ("kd_mass", "acceptance_rate", "denominator", "negative_mass_fraction"):
-        columns[name] = [float(getattr(s.diagnostics, name)) for s in states]
+    no_fit = dict.fromkeys((f.name for f in fields(LossReport)), math.nan)
+    records = [{**asdict(s.diagnostics), **(asdict(s.fit) if s.fit else no_fit)}
+               for s in states]
+    for name in records[0]:
+        columns[name] = [float(record[name]) for record in records]
     write_csv(rep_dir / "summary.csv", columns)
     return {"post_mean": post_mean, "pf_mean": pf.means, **oracle}
 

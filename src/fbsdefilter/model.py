@@ -30,13 +30,20 @@ DIVERGENCE_CHECK_RTOL = 1e-4
 def matvec(mat: Array, vec: Array) -> Array:
     """Apply a (d_out, d_in) matrix to (..., d_in) vectors.
 
-    Uses an explicit broadcast-and-reduce instead of BLAS so that a row's
-    result does not depend on the batch shape it was computed in; this keeps
-    batched runs bit-identical to per-sample runs.
+    Adds one input coordinate at a time to a zero ``(..., d_out)`` result
+    instead of calling BLAS, so that a row's result does not depend on the
+    batch shape it was computed in; this keeps batched runs bit-identical to
+    per-sample runs, for any d_in, without a ``(..., d_out, d_in)``
+    temporary.  For d_in < 8 this is the order of numpy's sum over a last
+    axis, so the bits equal ``(mat * vec[..., None, :]).sum(axis=-1)``; from
+    d_in = 8 on that sum adds pairwise and the last bit can differ.
     """
     mat = np.asarray(mat, dtype=float)
     vec = np.asarray(vec, dtype=float)
-    return (mat * vec[..., None, :]).sum(axis=-1)
+    out = np.zeros(vec.shape[:-1] + mat.shape[:1])
+    for j in range(mat.shape[1]):
+        out += mat[:, j] * vec[..., j, None]
+    return out
 
 
 def finite_difference_divergence(drift: Callable[[Array], Array], x: Array) -> Array:

@@ -1,7 +1,6 @@
 """The count rule: every size, count and count-axis sweep value is an integer in bounds,
 and every seed an integer."""
 
-import json
 import re
 import sys
 from dataclasses import replace
@@ -14,7 +13,7 @@ from fbsdefilter.errors import ConfigurationError
 from fbsdefilter.filtering import FilterConfig, bootstrap_pf
 from fbsdefilter.harness import ExperimentConfig, FilterSettings, GridSettings, \
     SweepSettings, denominator_rate_study, dt_rate_study, estimate_recurrence_coefficient, \
-    kde_rate_study, prediction_rate_study, run_experiment, run_rate_study
+    kde_rate_study, prediction_rate_study, run_experiment, run_rate_study, save_report
 from fbsdefilter.kde import gaussian_bandwidth
 from fbsdefilter.learn import TrainConfig, sgd_fit
 from fbsdefilter.model import TimeGrid, get_model, simulate_truth
@@ -90,7 +89,7 @@ def test_each_count_is_refused_by_name_before_any_work(no_draws_no_files, entry,
         call(value)
 
 
-def test_numpy_integers_are_counts():
+def test_numpy_integers_are_counts(tmp_path):
     assert filter_config(n_particles=np.int64(50), n_kernels=np.int64(50)).n_kernels == 50
     assert TimeGrid.uniform(horizon=1.0, steps=np.int64(4)).steps == 4
     PredictConfig(mc_samples=np.int64(4))
@@ -103,7 +102,10 @@ def test_numpy_integers_are_counts():
                                   bootstrap_pf(MODEL, GRID, OBS, 50, seed=0).means)
     by_array, by_tuple = (kde_rate_study(counts, replications=50)
                           for counts in (np.array([50, 100, 200, 400]), (50, 100, 200, 400)))
-    assert json.dumps(by_array.to_dict()) == json.dumps(by_tuple.to_dict())
+    for name, report in (("array", by_array), ("tuple", by_tuple)):
+        save_report(report, tmp_path / name)
+    assert (tmp_path / "array" / "rates_L.json").read_bytes() == \
+        (tmp_path / "tuple" / "rates_L.json").read_bytes()
     np.testing.assert_array_equal(by_array.raw, by_tuple.raw)
 
 

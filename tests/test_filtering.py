@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -8,9 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fbsdefilter import filtering
 from fbsdefilter.bayes import DENSITY_FLOOR, likelihood_density, step_likelihood
 from fbsdefilter.errors import ConfigurationError, DegenerateObservationError, FilterError
 from fbsdefilter.filtering import (
+    NEGATIVE_MASS_WARN,
     FilterConfig,
     FilterState,
     InitialDensity,
@@ -25,7 +28,7 @@ from fbsdefilter.filtering import (
 )
 from fbsdefilter.harness import _run_jobs, estimate_recurrence_coefficient
 from fbsdefilter.kde import KernelDensity
-from fbsdefilter.learn import TrainConfig
+from fbsdefilter.learn import LossReport, TrainConfig
 from fbsdefilter.model import MODEL_ZOO, LinearGaussian, TimeGrid, advance, get_model, \
     simulate_truth
 from fbsdefilter.predict import ParticleCloud, PredictConfig
@@ -310,6 +313,26 @@ class TestStep:
         with pytest.raises(FilterError, match="^step 1: .*particle ids") as info:
             step(state, model, np.zeros(1), np.zeros(1), cfg)
         assert str(info.value).count("step 1") == 1
+
+    def test_negative_mass_warning_reads_above_its_threshold(self, monkeypatch):
+        # a fit whose negative share is 0.05001 must not print as the 0.05 it exceeds
+        share = 0.05001
+        kd = KernelDensity(centers=[[0.0], [0.1]], weights=[1.0, -share / (1.0 - share)],
+                           bandwidths=[1.0, 1.0])
+        report = LossReport(final_loss=0.5, final_grad_norm=0.25, bandwidth_clamps=3)
+        monkeypatch.setattr(filtering, "sgd_fit", lambda *args: (kd, report))
+        model = get_model("linear1d")
+        cfg = small_config(TimeGrid.uniform(horizon=1.0, steps=2), n_particles=20,
+                           n_kernels=2, sgd_steps=10)
+        with pytest.warns(UserWarning, match="^step 1: negative kernel mass fraction") \
+                as caught:
+            out = step(initialize(model, cfg), model, np.zeros(1), np.zeros(1), cfg)
+        fraction, threshold = re.search(r"fraction (\S+) exceeds (\S+)$",
+                                        str(caught[0].message)).groups()
+        assert fraction != threshold
+        assert float(fraction) == out.diagnostics.negative_mass_fraction > NEGATIVE_MASS_WARN
+        assert float(threshold) == NEGATIVE_MASS_WARN
+        assert out.fit is report
 
     def test_step_past_the_grid_is_refused_by_the_grid(self):
         model = get_model("linear1d")

@@ -4,7 +4,7 @@ import os
 import re
 import time
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbsdefilter import harness
 from fbsdefilter.bayes import Likelihood, likelihood_density
 from fbsdefilter.cli import main as cli_main
 from fbsdefilter.errors import ConfigurationError, ContractionError, \
     DegenerateObservationError, ModelBlowUpError
+from fbsdefilter.filtering import StepDiagnostics, run_filter
 from fbsdefilter.harness import (
     AXES,
     ConvergenceReport,
@@ -34,6 +36,7 @@ from fbsdefilter.harness import (
     run_rate_study,
     save_report,
 )
+from fbsdefilter.learn import LossReport
 from fbsdefilter.model import MODEL_ZOO, TimeGrid, backward_sample, euler_step, \
     get_model, register_model, simulate_truth
 from fbsdefilter.rngs import substream
@@ -262,6 +265,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match="section 'grid' must be an object"):
             config_from_dict({"grid": section})
 
+    @pytest.mark.parametrize("section", ["grid", "filter", "sweep"])
+    def test_every_section_refuses_a_non_object_and_an_unknown_field(self, section):
+        with pytest.raises(ConfigurationError,
+                           match=f"^section '{section}' must be an object, got int$"):
+            config_from_dict({section: 5})
+        with pytest.raises(ConfigurationError,
+                           match=f"^unknown field 'mystery' in section '{section}'$"):
+            config_from_dict({section: {"mystery": 1}})
+
     @pytest.mark.parametrize("data, message", [
         ({"replications": "2"}, "field 'replications' at config root must be an integer"),
         ({"sweep": {"values": 5}},
@@ -334,6 +346,42 @@ class TestRunExperiment:
         assert diag["kd_mass"] > 0
         assert json.loads((rep_dir / "diagnostics_step_0000.json").read_text())["kd_mass"] \
             is None
+
+    def _summary_and_states(self, tmp_path, monkeypatch):
+        """Replication 0's summary.csv header and named columns, and its states."""
+        states = []
+
+        def recording_run_filter(*args, **kwargs):
+            states.extend(run_filter(*args, **kwargs))
+            return states
+        monkeypatch.setattr(harness, "run_filter", recording_run_filter)
+        cfg = self._smoke_cfg(tmp_path)
+        run_experiment(cfg)
+        lines = (Path(cfg.out_dir) / "rep_000" / "summary.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        return header, {name: [float(line.split(",")[i]) for line in lines[1:]]
+                        for i, name in enumerate(header)}, states
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_summary_ends_with_the_step_records_fields_in_order(self, tmp_path, monkeypatch):
+        header, columns, states = self._summary_and_states(tmp_path, monkeypatch)
+        step_fields = [f.name for record in (StepDiagnostics, LossReport)
+                       for f in fields(record)]
+        assert header[-len(step_fields):] == step_fields
+        # the columns written before the records drove the writer keep their order
+        assert step_fields[:4] == ["kd_mass", "acceptance_rate", "denominator",
+                                   "negative_mass_fraction"]
+        for name in step_fields[:len(fields(StepDiagnostics))]:
+            np.testing.assert_array_equal(
+                columns[name], [getattr(s.diagnostics, name) for s in states])
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_summary_fit_columns_are_each_steps_loss_report(self, tmp_path, monkeypatch):
+        _header, columns, states = self._summary_and_states(tmp_path, monkeypatch)
+        assert states[0].fit is None and len(states) == 6
+        for f in fields(LossReport):
+            assert math.isnan(columns[f.name][0])
+            assert columns[f.name][1:] == [getattr(s.fit, f.name) for s in states[1:]]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_error_table_has_the_bytes_of_the_per_step_median_loop(self, tmp_path):

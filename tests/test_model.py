@@ -18,6 +18,7 @@ from fbsdefilter.model import (
     euler_step,
     finite_difference_divergence,
     get_model,
+    matvec,
     ou_exact_coupled_step,
     simulate_truth,
 )
@@ -284,3 +285,19 @@ class TestStrongStepError:
         mean, var = ou_exact_moments(theta, sigma, x0, dt)
         assert abs(out.mean() - mean) < 4.0 * math.sqrt(var / n)
         assert abs(out.var(ddof=1) - var) < 4.0 * var * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("d_in", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("batch", [(), (7,), (1000,), (13, 5), (3, 4, 2)])
+def test_matvec_has_the_bits_of_the_broadcast_sum(d_in, batch):
+    rng = substream(4, "matvec", d_in, len(batch))
+    for d_out in (1, 2, 3, 4):
+        mat = rng.standard_normal((d_out, d_in))
+        # magnitudes over many binades, so every rounding of the sum shows
+        vec = rng.standard_normal(batch + (d_in,)) * np.exp(rng.uniform(-20, 20, d_in))
+        expected = (mat * vec[..., None, :]).sum(axis=-1)
+        assert matvec(mat, vec).tobytes() == expected.tobytes()
+        # every product is -0.0, and the broadcast sum of them is +0.0
+        zero, negative = np.zeros_like(mat), -np.abs(vec)
+        assert matvec(zero, negative).tobytes() == \
+            (zero * negative[..., None, :]).sum(axis=-1).tobytes()
