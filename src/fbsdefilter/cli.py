@@ -121,7 +121,9 @@ def main(argv=None) -> int:
         print(f"{where}:{err.lineno}:{err.colno}: invalid config: {err.msg}",
               file=sys.stderr)
         return 2
-    except FilterError as err:
+    # an OSError here is an output path that cannot be made or written, such
+    # as an existing file given as --out; an unreadable config is a FilterError
+    except (FilterError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

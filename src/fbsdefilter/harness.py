@@ -468,8 +468,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    """The experiment config in the JSON file at ``path``; a file that cannot
+    be read, or is not UTF-8 text, is a ``ConfigurationError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as err:
+        raise ConfigurationError(
+            f"cannot read config {str(path)!r}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(
+            f"config {str(path)!r} is not UTF-8 text: {err.reason} at byte "
+            f"{err.start}") from err
     return config_from_dict(data)
 
 

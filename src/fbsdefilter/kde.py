@@ -56,45 +56,13 @@ def _sq_dists(points: Array, centers: Array, out: Array | None = None,
     return out
 
 
-def _pairwise_sum(terms: Array, out: Array) -> None:
-    """``out`` = sum over the first axis of ``(n, rows)`` ``terms``, clobbering them.
-
-    The terms are added in the order numpy's ``add.reduce`` adds an n-long
-    contiguous row, so each column's sum has the bits of that row's sum:
-    below 8 terms in order; up to 128 in 8 running partials over blocks of
-    8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder
-    in order; above 128 the two halves split at n/2 rounded down to a
-    multiple of 8.  Partials are kept in the rows they start in.
-    """
-    n = terms.shape[0]
-    if n < 8:
-        np.copyto(out, terms[0])
-        for row in terms[1:]:
-            np.add(out, row, out)
-    elif n <= 128:
-        partials = terms[:8]
-        stop = n - n % 8
-        for start in range(8, stop, 8):
-            np.add(partials, terms[start:start + 8], partials)
-        np.add(partials[0::2], partials[1::2], partials[0::2])
-        np.add(partials[0::4], partials[2::4], partials[0::4])
-        np.add(partials[0], partials[4], out)
-        for row in terms[stop:]:
-            np.add(out, row, out)
-    else:
-        half = n // 2 - (n // 2) % 8
-        _pairwise_sum(terms[half:], terms[half])
-        _pairwise_sum(terms[:half], out)
-        np.add(out, terms[half], out)
-
-
 def _bumps(points: Array, centers: Array, bandwidths) -> tuple[Array, Array]:
     """Squared distances and bumps of ``(..., d)`` points against ``(L, d)`` centers.
 
     Both have shape ``(..., L)``.  This is the bump of the Hessian, the
-    Parzen estimate and the fit's closing full-sample pass; the descent step
-    and ``KernelDensity.eval`` form the same bits in their own buffers, which
-    tests pin against this helper.
+    Parzen estimate and the gradient of the fit's closing full-sample pass;
+    the descent step and ``KernelDensity.eval`` form the same bits in their
+    own buffers, which tests pin against this helper.
     """
     sq = _sq_dists(points, centers)
     return sq, np.exp(-sq / bandwidths ** 2)
@@ -144,10 +112,10 @@ class KernelDensity:
         Its squared distances come from ``_sq_dists`` with centers and points
         swapped, which changes only the sign of each difference.  Dividing
         by ``-(bandwidth^2)`` gives the bits of ``_bumps``'s ``-sq / bw^2``,
-        since IEEE division is symmetric in sign.  ``_pairwise_sum`` adds
-        each column in numpy's order for an L-long row, and the sum starts
-        from numpy's identity 0.0 (so -0.0 terms sum to +0.0): every value
-        has the bits of the row-major one-shot formula, whatever the block.
+        since IEEE division is symmetric in sign.  Each value is its weighted
+        bumps added in component order, starting from +0.0 (so -0.0 terms sum
+        to +0.0): it depends only on its own point, whatever the block or the
+        batch.
         """
         pts = _as_points(x, self.dim)
         n = pts.shape[0]
@@ -165,8 +133,9 @@ class KernelDensity:
             np.exp(block_terms, block_terms)
             np.multiply(block_terms, weights, block_terms)
             block_vals = vals[start:start + rows]
-            _pairwise_sum(block_terms, block_vals)
-            np.add(block_vals, 0.0, block_vals)  # numpy's sum starts from 0.0
+            np.add(block_terms[0], 0.0, block_vals)
+            for term in block_terms[1:]:
+                np.add(block_vals, term, block_vals)
         return vals
 
     def component_integrals(self) -> Array:
@@ -212,11 +181,11 @@ class KernelDensity:
         if abs(mass) < 1e-300:
             raise EmptyDensityError("mixture mass is numerically zero")
         mean = (contrib[:, None] * self.centers).sum(axis=0) / mass
-        second = np.zeros((self.dim, self.dim))
-        for l in range(self.n_components):
-            c = self.centers[l]
-            second += contrib[l] * (np.outer(c, c)
-                                    + 0.5 * self.bandwidths[l] ** 2 * np.eye(self.dim))
+        # einsum without ``optimize`` sums in its own loops, not BLAS, so the
+        # bits do not depend on the BLAS thread count
+        spread = 0.5 * self.bandwidths[:, None, None] ** 2 * np.eye(self.dim)
+        second = np.einsum("l,lij->ij", contrib,
+                           self.centers[:, :, None] * self.centers[:, None, :] + spread)
         cov = second / mass - np.outer(mean, mean)
         return mean, cov, float(mass)
 

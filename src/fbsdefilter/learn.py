@@ -148,12 +148,13 @@ def loss_and_gradients(kd: KernelDensity, x, y: float) -> tuple[float, Array, Ar
 def _full_loss_and_gradient_norm(kd: KernelDensity, locations: Array,
                                  targets: Array) -> tuple[float, float]:
     """Average squared residual over the training set, and the Euclidean norm
-    of its gradient over both parameter blocks, from one pass over the bumps.
+    of its gradient over both parameter blocks.
 
-    The residual's row sum has the bits of ``kd.eval`` at the locations.
+    The residual is ``kd.eval`` at the locations, the mixture the filter
+    carries; the gradient takes one pass over the bumps.
     """
+    resid = kd.eval(locations) - targets
     sq, bumps = _bumps(locations, kd.centers, kd.bandwidths)
-    resid = (bumps * kd.weights).sum(axis=1) - targets
     grad_w = 2.0 * (resid[:, None] * bumps).mean(axis=0)
     grad_b = 2.0 * (resid[:, None] * bumps * (2.0 * sq / kd.bandwidths ** 3)
                     ).mean(axis=0) * kd.weights

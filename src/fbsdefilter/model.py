@@ -385,7 +385,14 @@ def make_linear2d() -> StateSpaceModel:
 
 
 def make_linear4d() -> StateSpaceModel:
-    """linear1d's coefficients on four independent coordinates; dimension ladder."""
+    """linear1d's coefficients on four independent coordinates; dimension ladder.
+
+    The default ``n_kernels`` = 24 is too few bumps at d = 4.  At the oracle
+    gate's shape (N = 2000, M = 256, sgd 8000, 10 steps of 0.1, seeds 0-9)
+    the filter's posterior-mean RMSE against the Kalman filter, over the
+    bootstrap particle filter's, reads 5.13 at L = 32, 1.72 at L = 64 and
+    1.037 at L = 128.
+    """
     return _linear_gaussian_model(
         "linear4d", LinearGaussian(drift_matrix=-0.5 * np.eye(4), obs_matrix=np.eye(4),
                                    diffusion=0.5 * np.eye(4), obs_noise=0.5 * np.eye(4),

@@ -575,6 +575,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{bad}:3" in err
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "out_is_a_file"])
+    def test_unreadable_config_or_output_path_exits_naming_it(self, tmp_path, capsys,
+                                                              case):
+        path = tmp_path / "config.json"
+        argv = ["filter", "--config", str(path), "--out", str(tmp_path / "out")]
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(b'{"model": "\xff"}')
+        elif case == "out_is_a_file":
+            path.write_text("taken")
+            argv = ["simulate", "--model", "ou1d", "--out", str(path)]
+        before = sorted(tmp_path.rglob("*"))
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert str(path) in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        if case == "out_is_a_file":
+            assert path.read_text() == "taken"
+
     def test_rates_on_model_without_initial_moments_exits_nonzero(self, tmp_path,
                                                                    capsys):
         assert cli_main(["rates", "--axis", "N", "--model", "doublewell1d",

@@ -95,43 +95,63 @@ class TestEval:
 
     @staticmethod
     def _one_shot(kd, x):
-        """Every point against every center at once, one (n, L) bump array
-        summed along its rows."""
+        """Every point against every center at once: the (n, L) weighted
+        bumps, added one component at a time from 0.0."""
         diff = x[:, None, :] - kd.centers
         sq = (diff * diff).sum(axis=-1)
-        return (np.exp(-sq / kd.bandwidths ** 2) * kd.weights).sum(axis=-1)
+        terms = np.exp(-sq / kd.bandwidths ** 2) * kd.weights
+        vals = np.zeros(x.shape[0])
+        for column in terms.T:
+            vals = vals + column
+        return vals
+
+    @staticmethod
+    def _mixture(rng, n_kernels, dim):
+        return KernelDensity(rng.standard_normal((n_kernels, dim)),
+                             rng.uniform(-1.0, 1.0, n_kernels),
+                             rng.uniform(0.3, 2.0, n_kernels))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 7])
     def test_blocked_eval_equals_one_shot_formula(self, dim, monkeypatch):
-        # the sums over components follow numpy's row order on each side of
-        # 8 and 128 terms; small blocks give two full blocks and a partial one
+        # small blocks give two full blocks and a partial one
         monkeypatch.setattr(kde, "EVAL_BLOCK_ROWS", 64)
-        for n_kernels in (1, 5, 8, 13, 24, 32, 129, 200):
+        for n_kernels in (1, 5, 8, 24, 32, 129, 200):
             rng = substream(31, "eval-blocks", dim, n_kernels)
-            kd = KernelDensity(rng.standard_normal((n_kernels, dim)),
-                               rng.uniform(-1.0, 1.0, n_kernels),
-                               rng.uniform(0.3, 2.0, n_kernels))
+            kd = self._mixture(rng, n_kernels, dim)
             x = 2.0 * rng.standard_normal((2 * 64 + 3, dim))
             one_shot = self._one_shot(kd, x)
             vals = kd.eval(x)
             assert vals.shape == (x.shape[0],)
             assert vals.tobytes() == one_shot.tobytes(), n_kernels
             # one point is the batch of one: same bits as its row in the batch
+            singles = np.concatenate([kd.eval(x[i:i + 1]) for i in range(x.shape[0])])
+            assert singles.tobytes() == one_shot.tobytes(), n_kernels
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_last_block_of_one_row_equals_its_batch_of_one(self, dim, monkeypatch):
+        # a one-row block sums an (L, 1) column; a reduction over that axis
+        # would add it pairwise from L = 8 on, unlike the same point in a
+        # larger block
+        monkeypatch.setattr(kde, "EVAL_BLOCK_ROWS", 64)
+        for n_kernels in (1, 8, 24, 32, 129, 200):
+            rng = substream(31, "eval-last-row", dim, n_kernels)
+            kd = self._mixture(rng, n_kernels, dim)
+            x = 2.0 * rng.standard_normal((2 * 64 + 1, dim))
+            one_shot = self._one_shot(kd, x)
+            assert kd.eval(x).tobytes() == one_shot.tobytes(), n_kernels
             assert kd.eval(x[-1:]).tobytes() == one_shot[-1:].tobytes(), n_kernels
 
     @pytest.mark.parametrize("n_kernels", [24, 32])
     def test_eval_at_its_block_size_equals_one_shot_formula(self, n_kernels):
         # the benchmark mixtures, over two full blocks of the real size
         rng = substream(31, "eval-blocks-full", n_kernels)
-        kd = KernelDensity(rng.standard_normal((n_kernels, 1)),
-                           rng.uniform(-1.0, 1.0, n_kernels),
-                           rng.uniform(0.3, 2.0, n_kernels))
+        kd = self._mixture(rng, n_kernels, 1)
         x = 2.0 * rng.standard_normal((2 * EVAL_BLOCK_ROWS + 3, 1))
         assert kd.eval(x).tobytes() == self._one_shot(kd, x).tobytes()
 
     def test_eval_of_negative_zero_terms_is_positive_zero(self):
-        # numpy's sum starts from 0.0: negative weights whose bumps underflow
-        # give -0.0 terms, which sum to +0.0 at every sum order
+        # the sum starts from 0.0: negative weights whose bumps underflow
+        # give -0.0 terms, which sum to +0.0
         for n_kernels in (3, 12, 200):
             kd = KernelDensity(np.zeros((n_kernels, 1)), -np.ones(n_kernels),
                                np.full(n_kernels, 0.01))
@@ -252,6 +272,28 @@ class TestSample:
         assert mass == pytest.approx(exp_mass, rel=1e-14)
         assert mean[0] == pytest.approx(exp_mean, rel=1e-14)
         assert cov[0, 0] == pytest.approx(exp_second - exp_mean ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    @pytest.mark.parametrize("n_kernels", [1, 24, 128])
+    def test_moments_equal_the_per_component_loop(self, n_kernels, dim):
+        rng = substream(9, "kde-moments", n_kernels, dim)
+        kd = KernelDensity(rng.standard_normal((n_kernels, dim)),
+                           rng.uniform(0.1, 1.0, n_kernels),
+                           rng.uniform(0.3, 2.0, n_kernels))
+        contrib = kd.weights * kd.component_integrals()
+        ref_mass = contrib.sum()
+        ref_mean = (contrib[:, None] * kd.centers).sum(axis=0) / ref_mass
+        second = np.zeros((dim, dim))
+        for l in range(n_kernels):
+            c = kd.centers[l]
+            second += contrib[l] * (np.outer(c, c)
+                                    + 0.5 * kd.bandwidths[l] ** 2 * np.eye(dim))
+        ref_cov = second / ref_mass - np.outer(ref_mean, ref_mean)
+        mean, cov, mass = kd.moments()
+        assert mass == ref_mass
+        assert mean.tobytes() == ref_mean.tobytes()
+        np.testing.assert_allclose(cov, ref_cov, rtol=1e-12)
+        assert np.array_equal(cov, cov.T)
 
 
 class TestSerialization:
