@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateObservationError
+from .errors import ConfigurationError, DegenerateObservationError, check_points
 from .model import StateSpaceModel, TimeGrid, matvec
 from .predict import ParticleCloud
 
@@ -73,9 +73,7 @@ def likelihood_density(lik: Likelihood, x: Array) -> Array:
 
     Evaluated in log space, with the log density floored at -700.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ConfigurationError(f"expected (n, dim) states; got shape {x.shape}")
+    x = check_points("x", x)
     mean = lik.obs_prev + np.asarray(lik.obs_map(x), dtype=float) * lik.dt
     diff = lik.obs_now - mean
     quad = (matvec(lik._precision, diff) * diff).sum(axis=-1)

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
 from .artifacts import coordinate_columns, write_csv, write_json
 from .errors import FilterError
-from .harness import AXES, ExperimentConfig, estimate_recurrence_coefficient, \
-    load_config, run_experiment, run_rate_study, save_report
+from .harness import AXES, ExperimentConfig, FilterSettings, \
+    estimate_recurrence_coefficient, load_config, run_experiment, run_rate_study, save_report
 from .model import MODEL_ZOO, get_model, simulate_truth
 
 
@@ -21,9 +20,10 @@ _OVERRIDES = {"model": "model", "seed": "seed", "out": "out_dir",
 
 
 def _load_cfg(args) -> ExperimentConfig:
+    """The config, or the defaults, overridden by each flag the command has and was given."""
     cfg = load_config(args.config) if args.config is not None else ExperimentConfig()
     return replace(cfg, **{field: getattr(args, flag) for flag, field in _OVERRIDES.items()
-                           if getattr(args, flag) is not None})
+                           if getattr(args, flag, None) is not None})
 
 
 def _cmd_simulate(args) -> int:
@@ -79,33 +79,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kernel-learning FBSDE filter experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, runs_jobs: bool):
         p.add_argument("--model", type=str, default=None,
                        help=f"zoo model name ({', '.join(sorted(MODEL_ZOO))})")
         p.add_argument("--config", type=str, default=None,
                        help="JSON config mirroring the experiment fields")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--replications", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes for replications and sweep points "
-                            "(1 runs them in this process)")
+        if runs_jobs:
+            p.add_argument("--replications", type=int, default=None)
+            p.add_argument("--threads", type=int, default=None,
+                           help="worker processes for replications and sweep points "
+                                "(1 runs them in this process)")
 
     p_sim = sub.add_parser("simulate", help="simulate a hidden path and observations")
-    common(p_sim)
+    common(p_sim, runs_jobs=False)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_filter = sub.add_parser("filter", help="run the filter and baselines")
-    common(p_filter)
+    p_filter = sub.add_parser(
+        "filter", help="run the filter and baselines",
+        description=f"Run the filter and its baselines. The default of "
+                    f"{FilterSettings.n_kernels} kernels is too few at dim 4: run "
+                    f'linear4d with the config {{"filter": {{"n_kernels": 128}}}}.')
+    common(p_filter, runs_jobs=True)
     p_filter.set_defaults(func=_cmd_filter)
 
     p_rates = sub.add_parser("rates", help="empirical convergence-rate study")
-    common(p_rates)
+    common(p_rates, runs_jobs=True)
     p_rates.add_argument("--axis", choices=AXES, required=True)
     p_rates.set_defaults(func=_cmd_rates)
 
     p_diag = sub.add_parser("diagnose", help="recurrence-coefficient diagnostic")
-    common(p_diag)
+    common(p_diag, runs_jobs=False)
     p_diag.set_defaults(func=_cmd_diagnose)
 
     return parser
@@ -116,11 +121,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as err:
-        where = args.config or "<config>"
-        print(f"{where}:{err.lineno}:{err.colno}: invalid config: {err.msg}",
-              file=sys.stderr)
-        return 2
     # an OSError here is an output path that cannot be made or written, such
     # as an existing file given as --out; an unreadable config is a FilterError
     except (FilterError, OSError) as err:

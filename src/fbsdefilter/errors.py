@@ -1,4 +1,4 @@
-"""Exception types shared across the filter stack, and the one count rule."""
+"""Exception types shared across the filter stack, and the count and point rules."""
 
 import numpy as np
 
@@ -51,3 +51,16 @@ def check_count(name: str, value, low: int | None = 1, high: int | None = None,
     if too_low:
         raise ConfigurationError(f"{name} must be >= {low}, got {value!r}")
     return value
+
+
+def check_points(name: str, x, dim: int | None = None) -> np.ndarray:
+    """``x`` as a float array of ``(n, dim)`` points, else refuse it by ``name``.
+
+    ``dim``, when given, is the length the second axis must have.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or (dim is not None and x.shape[1] != dim):
+        width = "" if dim is None else f" with dim={dim}"
+        raise ConfigurationError(
+            f"{name} must be an (n, dim) array{width}; got shape {x.shape}")
+    return x

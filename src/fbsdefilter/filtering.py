@@ -19,8 +19,8 @@ from .artifacts import coordinate_columns, write_csv, write_json
 from .bayes import DENSITY_FLOOR, bayes_update, denominator_mc, likelihood_density, \
     step_likelihood
 from .errors import ConfigurationError, DegenerateObservationError, FilterError, \
-    check_count
-from .kde import KernelDensity, _as_points
+    check_count, check_points
+from .kde import KernelDensity
 from .learn import LossReport, TrainConfig, sgd_fit
 from .model import StateSpaceModel, TimeGrid, advance, check_drift_divergence
 from .predict import ParticleCloud, PredictConfig, check_contraction, predict_cloud
@@ -65,7 +65,7 @@ class InitialDensity:
     model: StateSpaceModel
 
     def eval(self, x: Array) -> Array:
-        return self.model.initial_density(_as_points(x, self.model.dim_state))
+        return self.model.initial_density(check_points("x", x, self.model.dim_state))
 
 
 @dataclass

@@ -47,7 +47,8 @@ def check_slope_claim(replications: int, values=None) -> None:
     """Refuse a study that cannot carry a slope claim.
 
     It needs an integer of at least ``REPLICATION_FLOOR`` replications and,
-    when ``values`` is given, a strictly increasing grid of at least 4 points.
+    when ``values`` is given, a strictly increasing grid of at least 4
+    positive points, since the slope is fitted in log-log space.
     """
     check_count("replications", replications, low=None)
     if replications < REPLICATION_FLOOR:
@@ -59,6 +60,9 @@ def check_slope_claim(replications: int, values=None) -> None:
         if values.size < 4 or not np.all(np.diff(values) > 0):
             raise ConfigurationError(
                 "sweep grid must be strictly increasing with >= 4 points")
+        if values[0] <= 0:
+            raise ConfigurationError(
+                f"sweep grid values must be positive, got {values[0]:g}")
 
 
 class LoglogFit(NamedTuple):
@@ -211,6 +215,7 @@ def kde_rate_study(sample_counts=(250, 1000, 4000, 16000), dim: int = 1,
     estimator itself.
     """
     check_count("seed", seed, None)
+    check_count("dim", dim)
     counts = sorted(int(check_count("L sweep value", n)) for n in sample_counts)
     check_slope_claim(replications, counts)
     truth = (2.0 * math.pi) ** (-dim / 2.0)
@@ -407,7 +412,7 @@ class ExperimentConfig:
     def __post_init__(self):
         check_count("replications", self.replications)
         check_count("threads", self.threads)
-        check_count("seed", self.seed, None)
+        self.filter_config()  # checks the grid, the filter section and the seed
         if len(self.sweep.values) and min(self.sweep.values) <= 0:
             raise ConfigurationError("sweep values must be positive")
 
@@ -469,7 +474,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """The experiment config in the JSON file at ``path``; a file that cannot
-    be read, or is not UTF-8 text, is a ``ConfigurationError`` naming it."""
+    be read, or is not UTF-8 JSON, is a ``ConfigurationError`` naming it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -480,6 +485,9 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(
             f"config {str(path)!r} is not UTF-8 text: {err.reason} at byte "
             f"{err.start}") from err
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(
+            f"{path}:{err.lineno}:{err.colno}: invalid config: {err.msg}") from err
     return config_from_dict(data)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyDensityError, check_count
+from .errors import ConfigurationError, EmptyDensityError, check_count, check_points
 
 Array = np.ndarray
 
@@ -25,15 +25,6 @@ SQRT_PI = math.sqrt(math.pi)
 # (points, L) = (128 000, 32) and (12 800, 24) on a Xeon with 2 MB of L2 per
 # core: 8192 was fastest, where one buffer takes 1.5-2 MB.
 EVAL_BLOCK_ROWS = 8192
-
-
-def _as_points(x: Array, dim: int) -> Array:
-    """``x`` as a float array, checked to be ``(n, dim)`` points."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ConfigurationError(
-            f"expected (n, dim) points with dim={dim}; got shape {x.shape}")
-    return x
 
 
 def _sq_dists(points: Array, centers: Array, out: Array | None = None,
@@ -117,7 +108,7 @@ class KernelDensity:
         to +0.0): it depends only on its own point, whatever the block or the
         batch.
         """
-        pts = _as_points(x, self.dim)
+        pts = check_points("x", x, self.dim)
         n = pts.shape[0]
         vals = np.empty(n)
         terms = np.empty((self.n_components, min(n, EVAL_BLOCK_ROWS)))
@@ -222,12 +213,9 @@ def parzen_estimate(samples: Array, x: Array, density_sup: float) -> Array:
     i.e. the normalised bump at bandwidth ``sqrt(2) * h``, with
     ``h = gaussian_bandwidth(n_samples, dim, density_sup)``.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ConfigurationError(
-            f"expected (n, dim) samples; got shape {samples.shape}")
+    samples = check_points("samples", samples)
     n, dim = samples.shape
-    query = _as_points(x, dim)
+    query = check_points("x", x, dim)
     h = gaussian_bandwidth(n, dim, density_sup)
     _sq, bumps = _bumps(query, samples, math.sqrt(2.0) * h)
     kernel_norm = (2.0 * math.pi) ** (-dim / 2.0)

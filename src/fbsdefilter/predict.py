@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractionError, FilterError, ModelBlowUpError, \
-    check_count
+    check_count, check_points
 from .model import StateSpaceModel, TimeGrid, backward_sample, euler_step
 from .rngs import substream
 
@@ -39,10 +39,7 @@ class ParticleCloud:
     ids: Array | None = None
 
     def __post_init__(self):
-        self.locations = np.asarray(self.locations, dtype=float)
-        if self.locations.ndim != 2:
-            raise ConfigurationError(
-                f"locations must be an (n, dim) array; got shape {self.locations.shape}")
+        self.locations = check_points("locations", self.locations)
         self.values = np.asarray(self.values, dtype=float).ravel()
         n = self.locations.shape[0]
         if self.values.shape != (n,):

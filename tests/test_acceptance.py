@@ -126,6 +126,7 @@ def test_criterion_6_hessian_structure():
              f"fitted loss {report.final_loss:.1e}, full min-eig ratio {full_ratio:.1e}")
 
 
+@pytest.mark.slow
 def test_criterion_7_linear_gaussian_oracle_equivalence():
     model = get_model("linear1d")
     grid = TimeGrid.uniform(horizon=1.0, steps=10)

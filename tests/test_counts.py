@@ -1,5 +1,5 @@
 """The count rule: every size, count and count-axis sweep value is an integer in bounds,
-and every seed an integer."""
+and every seed an integer.  The point rule: every batch of points is an (n, dim) array."""
 
 import re
 import sys
@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fbsdefilter.bayes import Likelihood, likelihood_density
 from fbsdefilter.errors import ConfigurationError
-from fbsdefilter.filtering import FilterConfig, bootstrap_pf
+from fbsdefilter.filtering import FilterConfig, InitialDensity, bootstrap_pf
 from fbsdefilter.harness import ExperimentConfig, FilterSettings, GridSettings, \
     SweepSettings, denominator_rate_study, dt_rate_study, estimate_recurrence_coefficient, \
     kde_rate_study, prediction_rate_study, run_experiment, run_rate_study, save_report
-from fbsdefilter.kde import gaussian_bandwidth
+from fbsdefilter.kde import KernelDensity, gaussian_bandwidth, parzen_estimate
 from fbsdefilter.learn import TrainConfig, sgd_fit
 from fbsdefilter.model import TimeGrid, get_model, simulate_truth
 from fbsdefilter.predict import ParticleCloud, PredictConfig
@@ -56,6 +57,7 @@ ENTRY_POINTS = {
                                       lambda v: ExperimentConfig(replications=v)),
     "ExperimentConfig-threads": ("threads", lambda v: ExperimentConfig(threads=v)),
     "rate_study-replications": ("replications", lambda v: kde_rate_study(replications=v)),
+    "kde_rate_study-dim": ("dim", lambda v: kde_rate_study(dim=v, replications=50)),
     "gaussian_bandwidth-n": ("n", lambda v: gaussian_bandwidth(v, 1, 1.0)),
     "gaussian_bandwidth-dim": ("dim", lambda v: gaussian_bandwidth(100, v, 1.0)),
     "rates-L": ("sweep value", lambda v: sweep("L", v)),
@@ -161,3 +163,27 @@ def test_every_integer_is_a_seed():
     # a seed is its decimal address: no two integers share a stream
     draws = {seed: substream(seed, "x").random() for seed in (0, 2**64, -3, 3)}
     assert len(set(draws.values())) == 4
+
+
+# Each entry point that takes a batch of points: the argument its refusal
+# names, and a call that passes the batch.
+POINT_ENTRY_POINTS = {
+    "KernelDensity.eval": ("x", lambda x: KernelDensity([[0.0]], [1.0], [1.0]).eval(x)),
+    "likelihood_density": ("x", lambda x: likelihood_density(
+        Likelihood(np.zeros(1), np.zeros(1), 0.1, lambda s: s, np.eye(1)), x)),
+    "ParticleCloud": ("locations", lambda x: ParticleCloud(
+        locations=x, values=np.ones(len(x)), stage="prior")),
+    "parzen_estimate-samples": ("samples", lambda x: parzen_estimate(x, np.zeros((1, 1)), 1.0)),
+    "parzen_estimate-x": ("x", lambda x: parzen_estimate(np.zeros((10, 1)), x, 1.0)),
+    "InitialDensity.eval": ("x", lambda x: InitialDensity(MODEL).eval(x)),
+}
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 1, 1)], ids=["1d", "3d"])
+@pytest.mark.parametrize("entry", POINT_ENTRY_POINTS)
+def test_each_batch_of_points_is_refused_by_name_unless_n_by_dim(entry, shape):
+    name, call = POINT_ENTRY_POINTS[entry]
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{name} must be an \(n, dim\) array.*; "
+                             rf"got shape {re.escape(str(shape))}$"):
+        call(np.zeros(shape))

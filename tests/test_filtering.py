@@ -85,7 +85,7 @@ class TestInitialize:
         model = get_model("ou1d")  # divergence bound 1
         grid = TimeGrid.uniform(horizon=3.0, steps=4)  # dt = 0.75
         with pytest.raises(ConfigurationError, match="shrink"):
-            initialize(model, small_config(grid))
+            initialize(model, small_config(grid, variant="right_point_fixed_point"))
         # the explicit variant does not iterate, so nothing is guarded: the
         # same step, and linear1d at dt * 0.5 = 0.5, start without a warning;
         # a nonlinear model's divergence is checked per particle in the
@@ -304,7 +304,8 @@ class TestStep:
         # the prediction names the particle ids, step() alone names the step
         model = make_model_1d(**model_kwargs)
         grid = TimeGrid.uniform(horizon=1.0, steps=10)
-        cfg = small_config(grid, n_particles=len(locations), n_kernels=1, mc_samples=4)
+        cfg = small_config(grid, n_particles=len(locations), n_kernels=1, mc_samples=4,
+                           variant="right_point_fixed_point")
         cloud = ParticleCloud(locations=locations, values=np.ones(len(locations)),
                               stage="posterior")
         state = FilterState(k=0, cloud=cloud, density=InitialDensity(model))
@@ -441,6 +442,7 @@ def test_references_refuse_an_observation_no_state_explains(consumer):
 
 class TestOracleCompetitiveness:
     @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.slow
     @pytest.mark.parametrize("name", ["linear1d", "linear2d"])
     def test_posterior_mean_rmse_within_band_of_bootstrap_baseline(self, name):
         """Labeled diagnostic: sanity competitiveness, not a convergence claim.

@@ -145,7 +145,15 @@ class TestRunRateStudy:
     @pytest.mark.parametrize("study, kwargs, message", [
         (kde_rate_study, {"replications": 10}, "replications >= 50"),
         (dt_rate_study, {"step_sizes": (0.1, 0.05, 0.025)}, "4 points"),
-    ], ids=["replications", "grid"])
+        (kde_rate_study, {"dim": 2.5}, "dim must be an integer"),
+        (kde_rate_study, {"dim": True}, "dim must be an integer"),
+        (kde_rate_study, {"dim": 0}, "dim must be >= 1"),
+        (dt_rate_study, {"step_sizes": (-0.1, 0.025, 0.05, 0.1)},
+         "sweep grid values must be positive, got -0.1"),
+        (dt_rate_study, {"step_sizes": (0.0, 0.025, 0.05, 0.1)},
+         "sweep grid values must be positive, got 0"),
+    ], ids=["replications", "grid", "fractional_dim", "bool_dim", "zero_dim",
+            "negative_step", "zero_step"])
     def test_study_refuses_before_its_first_job(self, monkeypatch, study, kwargs,
                                                 message):
         def no_jobs(jobs, workers):
@@ -302,6 +310,13 @@ class TestExperimentConfig:
         assert back.model == "ou1d"
         assert back.grid.steps == 5
         assert back.filter.n_particles == 100
+
+    def test_malformed_json_is_a_configuration_error_naming_its_place(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{\n  "model": "linear1d",\n  broken\n}\n')
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(str(path))}:3:3: invalid config: "):
+            load_config(path)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -477,7 +492,7 @@ def test_pooled_job_error_is_raised_as_in_a_serial_run(tmp_path, steep_decay_mod
             model=steep_decay_model, seed=3, out_dir=str(tmp_path / f"threads{threads}"),
             grid=GridSettings(horizon=0.5, steps=3),
             filter=FilterSettings(n_particles=100, mc_samples=8, n_kernels=8,
-                                  sgd_steps=200),
+                                  sgd_steps=200, variant="right_point_fixed_point"),
             replications=2, threads=threads)
         with pytest.raises(ContractionError) as info:
             run_experiment(cfg)
@@ -574,6 +589,30 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{bad}:3" in err
+        assert err.startswith(f"error: {bad}:3:3: invalid config: ")
+
+    @pytest.mark.parametrize("command", [["simulate"], ["filter"], ["rates", "--axis", "dt"],
+                                         ["diagnose"]], ids=lambda c: c[0])
+    def test_every_command_refuses_a_bad_filter_section_before_any_output(
+            self, tmp_path, capsys, command):
+        bad = tmp_path / "bogus.json"
+        bad.write_text('{"filter": {"variant": "bogus", "n_kernels": 5000}}')
+        out = tmp_path / "out"
+        assert cli_main([*command, "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: variant must be one of")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["simulate", "--threads", "2"],
+                                      ["diagnose", "--replications", "2"]],
+                             ids=["simulate_threads", "diagnose_replications"])
+    def test_commands_that_run_no_jobs_refuse_job_flags(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli_main([*argv, "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "out_is_a_file"])
     def test_unreadable_config_or_output_path_exits_naming_it(self, tmp_path, capsys,
@@ -638,7 +677,9 @@ class TestCli:
         ('{"grid": {"steps": 0}}', "steps must be >= 1"),
         # linear1d's divergence bound 0.5 times dt = 10 breaks the right-point
         # recursion's step bound
-        ('{"grid": {"horizon": 20.0, "steps": 2}}', "dt * divergence bound = 5 >= 0.5"),
+        ('{"grid": {"horizon": 20.0, "steps": 2},'
+         ' "filter": {"variant": "right_point_fixed_point"}}',
+         "dt * divergence bound = 5 >= 0.5"),
     ], ids=["variant", "n_kernels", "steps", "step_bound"])
     def test_bad_filter_settings_exit_before_any_output(self, tmp_path, capsys, text,
                                                         message):

@@ -116,7 +116,8 @@ class TestRightPoint:
         dt = 0.1
         values = [predict_value(
             const, model, 0.1, np.array([0.0]), dt,
-            PredictConfig(mc_samples=m), substream(5, "rp-geo", m))
+            PredictConfig(mc_samples=m, variant="right_point_fixed_point"),
+            substream(5, "rp-geo", m))
             for m in (1, 2, 3, 12)]
         assert values[0] == pytest.approx(0.9, abs=1e-15)
         assert values[1] == pytest.approx(0.91, abs=1e-15)
@@ -130,7 +131,8 @@ class TestRightPoint:
         const = lambda pts: np.full(len(pts), 0.7)
         vals = [predict_value(
             const, model, 0.1, np.array([0.0]), 0.1,
-            PredictConfig(mc_samples=m), substream(6, "rp-ratio", m))
+            PredictConfig(mc_samples=m, variant="right_point_fixed_point"),
+            substream(6, "rp-ratio", m))
             for m in range(1, 11)]
         y0 = 0.7
         diff1 = abs(vals[0] - y0)
@@ -154,7 +156,8 @@ class TestRightPoint:
         const = lambda pts: np.ones(len(pts))
         with pytest.raises(ContractionError, match="step size"):
             predict_value(const, model, 0.1, np.array([0.0]), 0.1,
-                          PredictConfig(mc_samples=64), substream(8, "rp-diverge"))
+                          PredictConfig(mc_samples=64, variant="right_point_fixed_point"),
+                          substream(8, "rp-diverge"))
 
     def test_cloud_just_inside_the_contraction_region_keeps_the_capped_loop_bits(self):
         # the recursion as it ran under the former growth cap (iterates beyond
@@ -178,7 +181,8 @@ class TestRightPoint:
         noise = substream(12, "rp-capped").standard_normal((anchors.shape[0], m, 1))
         f = gauss_density(0.3, 1.5)
         ids = np.arange(anchors.shape[0])
-        got = _prior_values(f, model, t_k, anchors, dt, noise, PredictConfig(mc_samples=m), ids)
+        got = _prior_values(f, model, t_k, anchors, dt, noise,
+                            PredictConfig(mc_samples=m, variant="right_point_fixed_point"), ids)
         points = backward_sample(model, t_k, anchors[:, None, :], dt, math.sqrt(dt) * noise)
         vals = f(points.reshape(-1, 1)).reshape(anchors.shape[0], m)
         want = capped_loop(vals, f(anchors), div, dt)
@@ -345,7 +349,7 @@ class TestPredictCloud:
         locations = model.initial_sampler(n, substream(17, "cloud-quad-right-init"))
         cloud = ParticleCloud(locations=locations,
                               values=prev(locations), stage="posterior")
-        cfg = PredictConfig(mc_samples=m)
+        cfg = PredictConfig(mc_samples=m, variant="right_point_fixed_point")
         out = predict_cloud(cloud, prev, model, grid, 1, cfg, seed=78)
         dt = grid.dt(1)
         var = float(model.diffusion(grid.time(1))[0, 0]) ** 2 * dt
@@ -385,7 +389,8 @@ class TestPredictCloud:
 
         with pytest.raises(FilterError, match=r"forward locations of particle ids \[9\]"):
             predict_cloud(cloud, nan_at_second_anchor, model, self._grid(), 1,
-                          PredictConfig(mc_samples=4), seed=0)
+                          PredictConfig(mc_samples=4, variant="right_point_fixed_point"),
+                          seed=0)
 
     def test_nonfinite_density_at_reverse_samples_names_particle(self):
         model = get_model("linear1d")
@@ -418,7 +423,9 @@ class TestPredictCloud:
                                match=rf"^fixed-point iteration diverged .* particle ids "
                                      rf"{named}; reduce the step size$"):
                 predict_cloud(self._cloud(locations, ids), gauss_density(0.0, 1.0), model,
-                              self._grid(), 1, PredictConfig(mc_samples=4), seed=0)
+                              self._grid(), 1,
+                              PredictConfig(mc_samples=4, variant="right_point_fixed_point"),
+                              seed=0)
 
     def test_nonfinite_forward_state_names_particle(self):
         model = make_model_1d(drift=lambda x: np.where(np.asarray(x) > 5.0, np.inf, 0.0))

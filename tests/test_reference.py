@@ -95,6 +95,7 @@ def _ramped_doublewell():
                                diffusion=lambda t: np.array([[0.3 + 0.4 * t]]))
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name", ["doublewell1d", "ou1d"])
 def test_banded_transition_matches_dense(name):
     # the terms the band drops are below exp(-72) of the kernel's peak, so
