@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .artifacts import coordinate_columns, write_csv, write_json
-from .errors import FilterError
+from .errors import ConfigurationError, FilterError
 from .harness import AXES, ExperimentConfig, FilterSettings, \
     estimate_recurrence_coefficient, load_config, run_experiment, run_rate_study, save_report
 from .model import MODEL_ZOO, get_model, simulate_truth
@@ -20,10 +20,20 @@ _OVERRIDES = {"model": "model", "seed": "seed", "out": "out_dir",
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    """The config, or the defaults, overridden by each flag the command has and was given."""
+    """The config, or the defaults, overridden by each flag the command has and was given.
+
+    An output directory that cannot be made, because the nearest part of its
+    path that exists is not a directory, is refused here, before any work.
+    """
     cfg = load_config(args.config) if args.config is not None else ExperimentConfig()
-    return replace(cfg, **{field: getattr(args, flag) for flag, field in _OVERRIDES.items()
-                           if getattr(args, flag, None) is not None})
+    cfg = replace(cfg, **{field: getattr(args, flag) for flag, field in _OVERRIDES.items()
+                          if getattr(args, flag, None) is not None})
+    out = Path(cfg.out_dir)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigurationError(f"cannot make output directory {str(out)!r}: "
+                                 f"{str(existing)!r} is not a directory")
+    return cfg
 
 
 def _cmd_simulate(args) -> int:
@@ -121,8 +131,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # an OSError here is an output path that cannot be made or written, such
-    # as an existing file given as --out; an unreadable config is a FilterError
+    # an OSError here is an output path that cannot be written, such as one
+    # without write permission; an --out that names a file and an unreadable
+    # config are FilterErrors
     except (FilterError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

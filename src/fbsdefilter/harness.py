@@ -43,26 +43,46 @@ AXES = ("L", "M", "N", "dt")
 REPLICATION_FLOOR = 50
 
 
-def check_slope_claim(replications: int, values=None) -> None:
-    """Refuse a study that cannot carry a slope claim.
-
-    It needs an integer of at least ``REPLICATION_FLOOR`` replications and,
-    when ``values`` is given, a strictly increasing grid of at least 4
-    positive points, since the slope is fitted in log-log space.
-    """
+def check_slope_claim(replications: int) -> None:
+    """Refuse a study with fewer than ``REPLICATION_FLOOR`` replications, too
+    few to carry a slope claim, or a count of them that is not an integer."""
     check_count("replications", replications, low=None)
     if replications < REPLICATION_FLOOR:
         raise ConfigurationError(
             f"a rate study needs replications >= {REPLICATION_FLOOR} for a slope "
             f"claim (got {replications})")
-    if values is not None:
-        values = np.asarray(values, dtype=float)
-        if values.size < 4 or not np.all(np.diff(values) > 0):
-            raise ConfigurationError(
-                "sweep grid must be strictly increasing with >= 4 points")
-        if values[0] <= 0:
-            raise ConfigurationError(
-                f"sweep grid values must be positive, got {values[0]:g}")
+
+
+def check_sweep_grid(values, axis: str | None = None, horizon: float | None = None,
+                     in_order: bool = False) -> list:
+    """``values`` in increasing order, refused unless a slope can be fitted on them.
+
+    The slope is fitted in log-log space, so the grid needs at least 4 distinct,
+    finite, positive values.  On a count axis (L, M, N) each value must pass
+    ``check_count``; on the dt axis each step must divide ``horizon``.  With no
+    ``axis`` only the axis-free part is checked.  ``in_order`` also refuses
+    values not given in increasing order.
+    """
+    if axis in ("L", "M", "N"):
+        values = [int(check_count(f"{axis} sweep value", v)) for v in values]
+    else:
+        values = [float(v) for v in values]
+    for v in values:
+        if not 0 < v < math.inf:
+            raise ConfigurationError(f"sweep values must be finite and positive, got {v:g}")
+    grid, given = sorted(values), ", ".join(f"{v:g}" for v in values)
+    if len(grid) < 4 or len(set(grid)) < len(grid):
+        raise ConfigurationError(f"sweep grid needs >= 4 points, all distinct; got {given}")
+    if in_order and grid != values:
+        raise ConfigurationError(f"sweep grid must be in increasing order, got {given}")
+    if axis == "dt":
+        for dt in grid:
+            steps = horizon / dt
+            if not (1 <= steps < math.inf and math.isclose(steps, round(steps),
+                                                            rel_tol=1e-9)):
+                raise ConfigurationError(
+                    f"dt sweep step {dt:g} does not divide the horizon {horizon:g}")
+    return grid
 
 
 class LoglogFit(NamedTuple):
@@ -125,7 +145,8 @@ class ConvergenceReport:
         if self.raw.ndim != 2 or self.raw.shape[1] != self.values.size:
             raise ConfigurationError("raw data must be (replications, len(values))")
         self.replications = self.raw.shape[0]
-        check_slope_claim(self.replications, self.values)
+        check_slope_claim(self.replications)
+        check_sweep_grid(self.values, in_order=True)
         mse = self.raw.mean(axis=0)
         mse_se = self.raw.std(axis=0, ddof=1) / math.sqrt(self.replications)
         if self.statistic == "mse":
@@ -216,8 +237,10 @@ def kde_rate_study(sample_counts=(250, 1000, 4000, 16000), dim: int = 1,
     """
     check_count("seed", seed, None)
     check_count("dim", dim)
-    counts = sorted(int(check_count("L sweep value", n)) for n in sample_counts)
-    check_slope_claim(replications, counts)
+    if dim > 2:
+        raise ConfigurationError("kernel-rate study supports dim <= 2")
+    check_slope_claim(replications)
+    counts = check_sweep_grid(sample_counts, "L")
     truth = (2.0 * math.pi) ** (-dim / 2.0)
     query = np.zeros((1, dim))
 
@@ -261,8 +284,8 @@ def prediction_rate_study(mc_counts=(16, 64, 256, 1024), replications: int = 200
     model = model if model is not None else get_model("ou1d")
     if model.dim_state != 1:
         raise ConfigurationError("prediction study needs a scalar-state model")
-    counts = sorted(int(check_count("M sweep value", m)) for m in mc_counts)
-    check_slope_claim(replications, counts)
+    check_slope_claim(replications)
+    counts = check_sweep_grid(mc_counts, "M")
     mean0, std0 = _initial_moments(model, "prediction")
     probes = _probe_points(mean0, std0)
     t_k = dt
@@ -301,8 +324,8 @@ def denominator_rate_study(particle_counts=(100, 1000, 10000, 100000),
     model = model if model is not None else get_model("ou1d")
     if model.dim_state != 1 or model.dim_obs != 1:
         raise ConfigurationError("denominator study needs scalar state and observation")
-    counts = sorted(int(check_count("N sweep value", n)) for n in particle_counts)
-    check_slope_claim(replications, counts)
+    check_slope_claim(replications)
+    counts = check_sweep_grid(particle_counts, "N")
     mean0, std0 = _initial_moments(model, "denominator")
     # a fixed, mildly informative observation increment
     obs_prev = np.zeros(1)
@@ -345,8 +368,8 @@ def dt_rate_study(step_sizes=(0.1, 0.05, 0.025, 0.0125), replications: int = 200
     sigma = float(lin.diffusion[0, 0])
     if theta <= 0:
         raise ConfigurationError("step-size study needs mean reversion (theta > 0)")
-    dts = sorted(float(h) for h in step_sizes)
-    check_slope_claim(replications, dts)
+    check_slope_claim(replications)
+    dts = check_sweep_grid(step_sizes, "dt", horizon)
     x0 = float(lin.mean0[0]) + math.sqrt(float(lin.cov0[0, 0]))
 
     def one_dt(j: int) -> Array:
@@ -413,8 +436,8 @@ class ExperimentConfig:
         check_count("replications", self.replications)
         check_count("threads", self.threads)
         self.filter_config()  # checks the grid, the filter section and the seed
-        if len(self.sweep.values) and min(self.sweep.values) <= 0:
-            raise ConfigurationError("sweep values must be positive")
+        if len(self.sweep.values):
+            check_sweep_grid(self.sweep.values)
 
     def filter_config(self, seed: int | None = None) -> FilterConfig:
         fs = self.filter
@@ -474,10 +497,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """The experiment config in the JSON file at ``path``; a file that cannot
-    be read, or is not UTF-8 JSON, is a ``ConfigurationError`` naming it."""
+    be read, or is not UTF-8 JSON, is a ``ConfigurationError`` naming it.
+    ``NaN``, ``Infinity`` and ``-Infinity``, which ``json`` reads by default
+    though JSON has no such numbers, are refused too."""
+    def refuse_constant(token: str):
+        raise ConfigurationError(f"{path}: invalid config: {token} is not a JSON number")
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=refuse_constant)
     except OSError as err:
         raise ConfigurationError(
             f"cannot read config {str(path)!r}: {err.strerror}") from err
@@ -492,21 +520,14 @@ def load_config(path) -> ExperimentConfig:
 
 
 def run_rate_study(axis: str, cfg: ExperimentConfig) -> ConvergenceReport:
-    """Sweep ``axis`` over ``cfg.sweep.values``, or the study's own grid if empty.
-
-    What ``check_slope_claim`` refuses is refused before the model is built.
-    """
+    """Sweep ``axis`` over ``cfg.sweep.values``, or the study's own grid if empty."""
     if axis not in AXES:
         raise ConfigurationError(f"axis must be one of {AXES}")
-    check_slope_claim(cfg.replications, cfg.sweep.values or None)
     model = get_model(cfg.model)
-    sweep = (cfg.sweep.values,) if cfg.sweep.values else ()
+    sweep = (cfg.sweep.values,) if len(cfg.sweep.values) else ()
     common = {"seed": cfg.seed, "threads": cfg.threads, "replications": cfg.replications}
     if axis == "L":
-        dim = model.dim_state
-        if dim > 2:
-            raise ConfigurationError("kernel-rate study supports dim <= 2")
-        return kde_rate_study(*sweep, dim=dim, **common)
+        return kde_rate_study(*sweep, dim=model.dim_state, **common)
     if axis == "M":
         return prediction_rate_study(*sweep, model=model, dt=cfg.grid.build().max_dt,
                                      **common)

@@ -159,8 +159,8 @@ class TimeGrid:
     def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
         """``steps`` equal intervals from 0 to ``horizon``."""
         check_count("steps", steps)
-        if horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
+        if not 0 < horizon < math.inf:
+            raise ConfigurationError(f"horizon must be finite and positive, got {horizon:g}")
         return cls(np.linspace(0.0, horizon, steps + 1))
 
     @property

@@ -149,11 +149,20 @@ class TestRunRateStudy:
         (kde_rate_study, {"dim": True}, "dim must be an integer"),
         (kde_rate_study, {"dim": 0}, "dim must be >= 1"),
         (dt_rate_study, {"step_sizes": (-0.1, 0.025, 0.05, 0.1)},
-         "sweep grid values must be positive, got -0.1"),
+         "sweep values must be finite and positive, got -0.1"),
         (dt_rate_study, {"step_sizes": (0.0, 0.025, 0.05, 0.1)},
-         "sweep grid values must be positive, got 0"),
+         "sweep values must be finite and positive, got 0"),
+        # 0.3 would run its column to t = 0.9, and 3.0 to no step at all
+        (dt_rate_study, {"step_sizes": (0.05, 0.1, 0.2, 0.3)},
+         "dt sweep step 0.3 does not divide the horizon 1"),
+        (dt_rate_study, {"step_sizes": (0.1, 0.2, 0.5, 3.0)},
+         "dt sweep step 3 does not divide the horizon 1"),
+        (dt_rate_study, {"step_sizes": (0.1, 0.05, math.nan, 0.0125)},
+         "sweep values must be finite and positive, got nan"),
+        (kde_rate_study, {"dim": 3}, "kernel-rate study supports dim <= 2"),
     ], ids=["replications", "grid", "fractional_dim", "bool_dim", "zero_dim",
-            "negative_step", "zero_step"])
+            "negative_step", "zero_step", "step_short_of_horizon", "step_past_horizon",
+            "nan_step", "dim_3"])
     def test_study_refuses_before_its_first_job(self, monkeypatch, study, kwargs,
                                                 message):
         def no_jobs(jobs, workers):
@@ -297,8 +306,9 @@ class TestExperimentConfig:
             config_from_dict(data)
 
     def test_integer_accepted_where_a_number_is_expected(self):
-        cfg = config_from_dict({"grid": {"horizon": 2}, "sweep": {"values": [1, 2.5]}})
-        assert cfg.grid.horizon == 2 and list(cfg.sweep.values) == [1, 2.5]
+        cfg = config_from_dict({"grid": {"horizon": 2},
+                                "sweep": {"values": [1, 2.5, 4, 8]}})
+        assert cfg.grid.horizon == 2 and list(cfg.sweep.values) == [1, 2.5, 4, 8]
 
     def test_round_trip_through_json(self, tmp_path):
         cfg = ExperimentConfig(model="ou1d", seed=9,
@@ -317,6 +327,24 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError,
                            match=f"^{re.escape(str(path))}:3:3: invalid config: "):
             load_config(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_refused_naming_the_file(self, tmp_path, token):
+        # json reads these tokens by default, though JSON has no such numbers
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"sweep": {{"values": [1, 2, 3, {token}]}}}}')
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: invalid "
+                                                     f"config: {token} is not a JSON number$"):
+            load_config(path)
+
+    def test_sweep_grid_is_checked_when_the_config_is_built(self):
+        for values, message in (((1, 2, 4), "needs >= 4 points"),
+                                ((1, 2, 2, 4), "all distinct"),
+                                ((1, 2, 4, math.inf), "finite and positive, got inf")):
+            with pytest.raises(ConfigurationError, match=message):
+                ExperimentConfig(sweep=SweepSettings(values=values))
+        # unsorted is fine: each study sorts its grid
+        ExperimentConfig(sweep=SweepSettings(values=(64, 16, 256, 1024)))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -732,9 +760,58 @@ class TestCli:
         out = tmp_path / "rates"
         assert cli_main(["rates", "--axis", "N", "--config", str(cfg),
                          "--replications", "50", "--out", str(out)]) == 2
-        assert "sweep grid must be strictly increasing with >= 4 points" \
+        assert "sweep grid needs >= 4 points, all distinct; got 100000, 200000, 400000" \
             in capsys.readouterr().err
         assert not (out / "rates_N.json").exists()
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["--axis", "M"], '{"sweep": {"values": [64, 16, 256]}}',
+         "sweep grid needs >= 4 points, all distinct; got 64, 16, 256"),
+        (["--axis", "N"], '{"sweep": {"values": [100, 0, 1000, 10000]}}',
+         "sweep values must be finite and positive, got 0"),
+        (["--axis", "M"], '{"sweep": {"values": [16, 64.5, 256, 1024]}}',
+         "M sweep value must be an integer, got 64.5"),
+        (["--axis", "dt"], '{"sweep": {"values": [0.05, 0.1, 0.2, 0.3]}}',
+         "dt sweep step 0.3 does not divide the horizon 1"),
+        (["--axis", "L", "--model", "linear4d"], "{}",
+         "kernel-rate study supports dim <= 2"),
+        (["--axis", "N", "--out", "taken"], "{}",
+         "cannot make output directory 'taken': 'taken' is not a directory"),
+        (["--axis", "N", "--out", "taken/sub"], "{}",
+         "cannot make output directory 'taken/sub': 'taken' is not a directory"),
+        (["--axis", "N"], '{"sweep": {"values": [100, 1000, 10000, NaN]}}',
+         "invalid config: NaN is not a JSON number"),
+        (["--axis", "dt"], '{"grid": {"horizon": Infinity}}',
+         "invalid config: Infinity is not a JSON number"),
+    ], ids=["short_unsorted", "zero", "fractional_count", "step_short_of_horizon",
+            "L_on_linear4d", "out_is_a_file", "out_under_a_file", "nan", "infinity"])
+    def test_rates_refuses_before_any_job_or_file(self, tmp_path, capsys, monkeypatch,
+                                                  argv, config, message):
+        def no_jobs(jobs, workers):
+            raise AssertionError("a job ran before the study was checked")
+        monkeypatch.setattr("fbsdefilter.harness._run_jobs", no_jobs)
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(config)
+        Path("taken").write_text("a file")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli_main(["rates", "--config", "cfg.json", "--replications", "50",
+                         "--out", "out", *argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and message in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert Path("taken").read_text() == "a file"
+
+    def test_rates_sorts_a_config_grid(self, tmp_path):
+        written = []
+        for values in ([64, 16, 256, 1024], [16, 64, 256, 1024]):
+            cfg, out = tmp_path / "cfg.json", tmp_path / "_".join(map(str, values))
+            cfg.write_text(json.dumps({"sweep": {"values": values}}))
+            assert cli_main(["rates", "--axis", "M", "--model", "ou1d", "--config",
+                             str(cfg), "--replications", "50", "--out", str(out)]) == 0
+            written.append([(out / name).read_bytes()
+                            for name in ("rates_M.json", "rates_M_raw.csv")])
+        assert written[0] == written[1]
 
     def test_rates_sweep_values_apply_to_the_axis_run(self, tmp_path):
         cfg = tmp_path / "sweep.json"

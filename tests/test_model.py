@@ -194,6 +194,13 @@ class TestTimeGrid:
         with pytest.raises(ConfigurationError):
             TimeGrid(np.array([0.0, 0.5, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_uniform_grid_refuses_a_horizon_not_finite_and_positive(self, horizon):
+        # refused before np.linspace, which warns on a non-finite end
+        with pytest.raises(ConfigurationError,
+                           match=f"^horizon must be finite and positive, got {horizon:g}$"):
+            TimeGrid.uniform(horizon=horizon, steps=4)
+
 
 class TestInitialLaw:
     @pytest.mark.parametrize("name", ZOO)

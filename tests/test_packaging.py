@@ -149,6 +149,43 @@ def test_each_chain_step_has_one_spelling():
     assert callers == EULER_STEP_CALLERS
 
 
+def _functions(tree: ast.Module):
+    """(name, node) of each module-level function and each method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+# A refusal, by the words of its message, and the one function that raises it.
+RULE_OWNERS = {r"\bsweep\b": "harness.check_sweep_grid",
+               r"replications >=": "harness.check_slope_claim",
+               r"dim <= 2": "harness.kde_rate_study"}
+
+
+def test_each_rate_study_rule_has_one_spelling():
+    # the command line, the config, the studies and the report share one
+    # function per rule, so they cannot refuse different grids
+    package = Path(fbsdefilter.__file__).resolve().parent
+    owners = {words: set() for words in RULE_OWNERS}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, function in _functions(tree):
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and getattr(node.exc.func, "id", None) == "ConfigurationError"):
+                    continue
+                text = "".join(part.value for part in ast.walk(node.exc)
+                               if isinstance(part, ast.Constant)
+                               and isinstance(part.value, str))
+                for words in owners:
+                    if re.search(words, text):
+                        owners[words].add(f"{path.stem}.{name}")
+    assert owners == {words: {owner} for words, owner in RULE_OWNERS.items()}
+
+
 def test_step_calls_only_public_functions():
     # ROADMAP item 7: the benchmark can call only public names, so step() is
     # to be a sequence of public stages that it can call in the same order
