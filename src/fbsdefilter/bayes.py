@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateObservationError, check_points
+from .errors import ConfigurationError, DegenerateObservationError, check_points, \
+    check_positive
 from .model import StateSpaceModel, TimeGrid, matvec
 from .predict import ParticleCloud
 
@@ -44,8 +45,7 @@ class Likelihood:
         self.obs_noise = np.atleast_2d(np.asarray(self.obs_noise, dtype=float))
         if self.obs_prev.shape != self.obs_now.shape:
             raise ConfigurationError("observation vectors must have equal length")
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
+        self.dt = check_positive("dt", self.dt)
         d = self.obs_prev.size
         if self.obs_noise.shape != (d, d):
             raise ConfigurationError("obs_noise must be a square matrix matching d_obs")

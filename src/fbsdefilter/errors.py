@@ -1,4 +1,7 @@
-"""Exception types shared across the filter stack, and the count and point rules."""
+"""Exception types shared across the filter stack, and the count, real-number and
+point rules."""
+
+import math
 
 import numpy as np
 
@@ -51,6 +54,26 @@ def check_count(name: str, value, low: int | None = 1, high: int | None = None,
     if too_low:
         raise ConfigurationError(f"{name} must be >= {low}, got {value!r}")
     return value
+
+
+def check_positive(name: str, value, zero_ok: bool = False) -> float:
+    """``value`` as a float if it is a finite real number above zero, else refuse it.
+
+    ``zero_ok`` also admits zero, for a step of length zero.  A bool, a string
+    or anything ``float`` cannot convert is refused by ``name``; so are NaN and
+    either infinity.
+    """
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}") from None
+    if not ((0 <= v if zero_ok else 0 < v) and v < math.inf):  # NaN fails both
+        raise ConfigurationError(
+            f"{name} must be finite and {'nonnegative' if zero_ok else 'positive'}, "
+            f"got {v:g}")
+    return v
 
 
 def check_points(name: str, x, dim: int | None = None) -> np.ndarray:

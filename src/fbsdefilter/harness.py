@@ -23,7 +23,7 @@ import numpy as np
 from .artifacts import coordinate_columns, write_csv, write_json
 from .bayes import DENSITY_FLOOR, denominator_mc, likelihood_density, step_likelihood
 from .errors import ConfigurationError, DegenerateObservationError, FilterError, \
-    check_count
+    check_count, check_positive
 from .filtering import FilterConfig, bootstrap_pf, kalman_filter, run_filter, \
     write_checkpoint
 from .kde import KernelDensity, mse_rate_exponent, parzen_estimate
@@ -66,10 +66,7 @@ def check_sweep_grid(values, axis: str | None = None, horizon: float | None = No
     if axis in ("L", "M", "N"):
         values = [int(check_count(f"{axis} sweep value", v)) for v in values]
     else:
-        values = [float(v) for v in values]
-    for v in values:
-        if not 0 < v < math.inf:
-            raise ConfigurationError(f"sweep values must be finite and positive, got {v:g}")
+        values = [check_positive("sweep values", v) for v in values]
     grid, given = sorted(values), ", ".join(f"{v:g}" for v in values)
     if len(grid) < 4 or len(set(grid)) < len(grid):
         raise ConfigurationError(f"sweep grid needs >= 4 points, all distinct; got {given}")
@@ -281,6 +278,7 @@ def prediction_rate_study(mc_counts=(16, 64, 256, 1024), replications: int = 200
     points is pure Monte Carlo variance.
     """
     check_count("seed", seed, None)
+    dt = check_positive("dt", dt)
     model = model if model is not None else get_model("ou1d")
     if model.dim_state != 1:
         raise ConfigurationError("prediction study needs a scalar-state model")
@@ -321,6 +319,7 @@ def denominator_rate_study(particle_counts=(100, 1000, 10000, 100000),
                            threads: int = 1) -> ConvergenceReport:
     """Observation-normalizer sample mean against its quadrature integral."""
     check_count("seed", seed, None)
+    dt = check_positive("dt", dt)
     model = model if model is not None else get_model("ou1d")
     if model.dim_state != 1 or model.dim_obs != 1:
         raise ConfigurationError("denominator study needs scalar state and observation")
@@ -369,6 +368,7 @@ def dt_rate_study(step_sizes=(0.1, 0.05, 0.025, 0.0125), replications: int = 200
     if theta <= 0:
         raise ConfigurationError("step-size study needs mean reversion (theta > 0)")
     check_slope_claim(replications)
+    horizon = check_positive("horizon", horizon)
     dts = check_sweep_grid(step_sizes, "dt", horizon)
     x0 = float(lin.mean0[0]) + math.sqrt(float(lin.cov0[0, 0]))
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyDensityError, check_count, check_points
+from .errors import ConfigurationError, EmptyDensityError, check_count, check_points, \
+    check_positive
 
 Array = np.ndarray
 
@@ -197,8 +198,7 @@ def gaussian_bandwidth(n: int, dim: int, density_sup: float) -> float:
     """
     check_count("n", n)
     check_count("dim", dim)
-    if density_sup <= 0:
-        raise ConfigurationError("density_sup must be positive")
+    density_sup = check_positive("density_sup", density_sup)
     # E[(sum_i |Z_i|)^2] for a standard normal vector
     abs_moment_sq = dim + dim * (dim - 1) * (2.0 / math.pi)
     moment = abs_moment_sq ** 2 / 3.0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergentLearningError, check_count
+from .errors import DivergentLearningError, check_count, check_positive
 from .kde import SQRT_PI, KernelDensity, _bumps, _sq_dists
 from .predict import ParticleCloud
 
@@ -43,8 +43,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_count("sgd_steps", self.sgd_steps)
-        if self.rate_weights <= 0 or self.rate_bandwidths <= 0:
-            raise ConfigurationError("learning rates must be positive")
+        check_positive("rate_weights", self.rate_weights)
+        check_positive("rate_bandwidths", self.rate_bandwidths)
 
     def rate_at(self, step: int | Array) -> tuple:
         """Weight and bandwidth rates at a step, or at an array of steps."""

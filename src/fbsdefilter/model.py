@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelBlowUpError, check_count
+from .errors import ConfigurationError, ModelBlowUpError, check_count, check_positive
 from .rngs import substream
 
 Array = np.ndarray
@@ -104,6 +104,16 @@ class StateSpaceModel:
     def __post_init__(self):
         check_count("dim_state", self.dim_state)
         check_count("dim_obs", self.dim_obs)
+        noise = np.shape(self.obs_noise(0.0))
+        if noise != (self.dim_obs, self.dim_obs):
+            raise ConfigurationError(
+                f"obs_noise must be a ({self.dim_obs}, {self.dim_obs}) matrix for "
+                f"dim_obs={self.dim_obs}; got shape {noise}")
+        diffusion = np.shape(self.diffusion(0.0))
+        if len(diffusion) != 2 or diffusion[0] != self.dim_state:
+            raise ConfigurationError(
+                f"diffusion must be a ({self.dim_state}, dim_noise) matrix for "
+                f"dim_state={self.dim_state}; got shape {diffusion}")
         if self.drift_divergence is None:
             drift = self.drift
             self.drift_divergence = lambda x: finite_difference_divergence(drift, x)
@@ -152,16 +162,14 @@ class TimeGrid:
         self.knots = np.asarray(self.knots, dtype=float).ravel()
         if self.knots.size < 2:
             raise ConfigurationError("a time grid needs at least two knots")
-        if not np.all(np.diff(self.knots) > 0):
-            raise ConfigurationError("time knots must be strictly increasing")
+        for k, step in enumerate(np.diff(self.knots), 1):
+            check_positive(f"time step {k}", step)
 
     @classmethod
     def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
         """``steps`` equal intervals from 0 to ``horizon``."""
         check_count("steps", steps)
-        if not 0 < horizon < math.inf:
-            raise ConfigurationError(f"horizon must be finite and positive, got {horizon:g}")
-        return cls(np.linspace(0.0, horizon, steps + 1))
+        return cls(np.linspace(0.0, check_positive("horizon", horizon), steps + 1))
 
     @property
     def horizon(self) -> float:
@@ -213,8 +221,7 @@ def _check_finite_state(x: Array, t: float, origin: Array) -> None:
 def _sde_step(model: StateSpaceModel, t: float, x: Array, dt: float, dW: Array,
               sign: float) -> Array:
     """x + sign * drift(x) dt + diffusion(t) dW, checked for finite output."""
-    if dt < 0:
-        raise ConfigurationError("dt must be nonnegative")
+    dt = check_positive("dt", dt, zero_ok=True)
     x = np.asarray(x, dtype=float)
     out = x + sign * model.drift(x) * dt + matvec(model.diffusion(t), dW)
     _check_finite_state(out, t, x)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractionError, FilterError, ModelBlowUpError, \
-    check_count, check_points
+    check_count, check_points, check_positive
 from .model import StateSpaceModel, TimeGrid, backward_sample, euler_step
 from .rngs import substream
 
@@ -71,13 +71,14 @@ class ParticleCloud:
 class PredictConfig:
     """Sample count and discretization variant of the prediction stage.
 
+    ``left_point``, the default, takes one explicit step.
     ``right_point_fixed_point`` follows the published recipe, feeding the
-    running average over the first m reverse samples into iterate m.
-    ``left_point`` takes one explicit step.
+    running average over the first m reverse samples into iterate m; it
+    aborts with ``ContractionError`` where ``|div * dt| >= 1`` at a particle.
     """
 
     mc_samples: int
-    variant: str = "right_point_fixed_point"
+    variant: str = "left_point"
 
     def __post_init__(self):
         check_count("mc_samples", self.mc_samples)
@@ -131,8 +132,7 @@ def _prior_values(f: Callable[[Array], Array], model: StateSpaceModel, t_k: floa
     sample axis of one row, so a row's value does not depend on how many
     anchors share the call.
     """
-    if dt < 0:
-        raise ConfigurationError("dt must be nonnegative")
+    dt = check_positive("dt", dt, zero_ok=True)
     n, m = noise.shape[:2]
     try:
         points = backward_sample(model, t_k, anchors[:, None, :], dt,

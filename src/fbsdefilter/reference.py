@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .bayes import DENSITY_FLOOR, Likelihood, likelihood_density, step_likelihood
-from .errors import ConfigurationError, DegenerateObservationError
+from .errors import ConfigurationError, DegenerateObservationError, check_positive
 from .model import StateSpaceModel, TimeGrid, advance
 from .rngs import substream
 
@@ -60,8 +60,7 @@ def _require_scalar_state(model: StateSpaceModel, what: str) -> None:
 def _backward_law(model: StateSpaceModel, t_k: float, x: float,
                   dt: float) -> tuple[float, float]:
     """Mean and variance of a reverse-time sample drawn from x."""
-    if dt < 0:
-        raise ConfigurationError("dt must be nonnegative")
+    dt = check_positive("dt", dt, zero_ok=True)
     point = np.array([x])
     mean = float((point - model.drift(point) * dt)[0])
     sig = float(np.asarray(model.diffusion(t_k))[0, 0])

@@ -12,10 +12,11 @@ from fbsdefilter.bayes import (
     bayes_update,
     denominator_mc,
     likelihood_density,
+    step_likelihood,
 )
 from fbsdefilter.errors import ConfigurationError, DegenerateObservationError
 from fbsdefilter.harness import fit_loglog_slope
-from fbsdefilter.model import get_model
+from fbsdefilter.model import TimeGrid, get_model, matvec, simulate_truth
 from fbsdefilter.predict import ParticleCloud
 from fbsdefilter.reference import denominator_oracle
 from fbsdefilter.rngs import substream
@@ -187,3 +188,29 @@ class TestDenominator:
             rmses.append(math.sqrt(np.mean(sq)))
         fit = fit_loglog_slope(counts, rmses)
         assert fit.slope == pytest.approx(-0.5, abs=0.1)
+
+
+def test_observation_law_has_one_meaning_in_simulator_likelihood_and_kalman():
+    # one step of linear2d: the simulator's increment, the likelihood and the
+    # Kalman filter's design H dt and noise r r^T dt spell the same Gaussian law
+    model = get_model("linear2d")
+    lin = model.linear
+    grid = TimeGrid.uniform(horizon=1.0, steps=10)
+    seed, k = 3, 4
+    states, obs = simulate_truth(model, grid, seed)
+    rng = substream(seed, "truth-obs")
+    for _ in range(k):
+        z = rng.standard_normal(model.dim_obs)
+    dt = grid.dt(k)
+    np.testing.assert_array_equal(
+        obs[k], obs[k - 1] + matvec(lin.obs_matrix, states[k]) * dt
+        + matvec(lin.obs_noise, math.sqrt(dt) * z))
+
+    design = lin.obs_matrix * dt
+    noise_cov = lin.obs_noise @ lin.obs_noise.T * dt
+    xs = states[k] + np.linspace(-3.0, 3.0, 7)[:, None] * np.array([1.0, -0.5])
+    resid = obs[k] - (obs[k - 1] + xs @ design.T)
+    quad = (resid * np.linalg.solve(noise_cov, resid.T).T).sum(axis=1)
+    expected = np.exp(-0.5 * quad) / math.sqrt(np.linalg.det(2.0 * math.pi * noise_cov))
+    lik = step_likelihood(model, grid, k, obs[k - 1], obs[k])
+    np.testing.assert_allclose(likelihood_density(lik, xs), expected, rtol=1e-13)

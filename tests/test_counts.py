@@ -1,6 +1,8 @@
 """The count rule: every size, count and count-axis sweep value is an integer in bounds,
-and every seed an integer.  The point rule: every batch of points is an (n, dim) array."""
+and every seed an integer.  The real-number rule: every step, horizon, rate and bound
+is finite and positive.  The point rule: every batch of points is an (n, dim) array."""
 
+import math
 import re
 import sys
 from dataclasses import replace
@@ -13,12 +15,14 @@ from fbsdefilter.bayes import Likelihood, likelihood_density
 from fbsdefilter.errors import ConfigurationError
 from fbsdefilter.filtering import FilterConfig, InitialDensity, bootstrap_pf
 from fbsdefilter.harness import ExperimentConfig, FilterSettings, GridSettings, \
-    SweepSettings, denominator_rate_study, dt_rate_study, estimate_recurrence_coefficient, \
-    kde_rate_study, prediction_rate_study, run_experiment, run_rate_study, save_report
+    SweepSettings, check_sweep_grid, denominator_rate_study, dt_rate_study, \
+    estimate_recurrence_coefficient, kde_rate_study, prediction_rate_study, run_experiment, \
+    run_rate_study, save_report
 from fbsdefilter.kde import KernelDensity, gaussian_bandwidth, parzen_estimate
 from fbsdefilter.learn import TrainConfig, sgd_fit
-from fbsdefilter.model import TimeGrid, get_model, simulate_truth
-from fbsdefilter.predict import ParticleCloud, PredictConfig
+from fbsdefilter.model import TimeGrid, backward_sample, euler_step, get_model, simulate_truth
+from fbsdefilter.predict import ParticleCloud, PredictConfig, predict_value
+from fbsdefilter.reference import prediction_oracle_left_point
 from fbsdefilter.rngs import substream
 
 MODEL = get_model("linear1d")
@@ -163,6 +167,73 @@ def test_every_integer_is_a_seed():
     # a seed is its decimal address: no two integers share a stream
     draws = {seed: substream(seed, "x").random() for seed in (0, 2**64, -3, 3)}
     assert len(set(draws.values())) == 4
+
+
+# Each entry point that takes a real-valued setting: the name its refusal gives,
+# whether a zero passes (a step of length zero does), and a call that passes
+# the value.  ``predict_value`` draws its reverse-sample noise before the step
+# is checked, so it gets a generator of its own rather than a ``substream``.
+POSITIVE_ENTRY_POINTS = {
+    "Likelihood-dt": ("dt", False, lambda v: Likelihood(
+        np.zeros(1), np.zeros(1), v, lambda s: s, np.eye(1))),
+    "TrainConfig-rate_weights": ("rate_weights", False,
+                                 lambda v: TrainConfig(sgd_steps=10, rate_weights=v)),
+    "TrainConfig-rate_bandwidths": ("rate_bandwidths", False,
+                                    lambda v: TrainConfig(sgd_steps=10, rate_bandwidths=v)),
+    "gaussian_bandwidth-density_sup": ("density_sup", False,
+                                       lambda v: gaussian_bandwidth(100, 1, v)),
+    "parzen_estimate-density_sup": ("density_sup", False, lambda v: parzen_estimate(
+        np.zeros((10, 1)), np.zeros((1, 1)), v)),
+    "TimeGrid.uniform-horizon": ("horizon", False,
+                                 lambda v: TimeGrid.uniform(horizon=v, steps=4)),
+    "TimeGrid-knots": ("time step 2", False, lambda v: TimeGrid([0.0, 0.5, 0.5 + v])),
+    "ExperimentConfig-horizon": ("horizon", False,
+                                 lambda v: ExperimentConfig(grid=GridSettings(horizon=v))),
+    "check_sweep_grid": ("sweep values", False, lambda v: check_sweep_grid((v, 1, 2, 3))),
+    "rates-dt": ("sweep values", False, lambda v: sweep("dt", v)),
+    "prediction_rate_study-dt": ("dt", False,
+                                 lambda v: prediction_rate_study(replications=50, dt=v)),
+    "denominator_rate_study-dt": ("dt", False,
+                                  lambda v: denominator_rate_study(replications=50, dt=v)),
+    "dt_rate_study-horizon": ("horizon", False,
+                              lambda v: dt_rate_study(replications=50, horizon=v)),
+    "euler_step-dt": ("dt", True, lambda v: euler_step(
+        MODEL, 0.0, np.zeros((1, 1)), v, np.zeros((1, 1)))),
+    "backward_sample-dt": ("dt", True, lambda v: backward_sample(
+        MODEL, 0.1, np.zeros((1, 1)), v, np.zeros((1, 1)))),
+    "predict_value-dt": ("dt", True, lambda v: predict_value(
+        MODEL.initial_density, MODEL, 0.1, np.zeros(1), v, PredictConfig(mc_samples=4),
+        np.random.default_rng(0))),
+    "prediction_oracle_left_point-dt": ("dt", True, lambda v: prediction_oracle_left_point(
+        MODEL.initial_density, MODEL, 0.1, 0.0, v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 0.0],
+                         ids=["nan", "inf", "-inf", "negative", "zero"])
+@pytest.mark.parametrize("entry", POSITIVE_ENTRY_POINTS)
+def test_each_real_setting_is_refused_by_name_unless_finite_and_positive(
+        no_draws_no_files, entry, value):
+    name, zero_ok, call = POSITIVE_ENTRY_POINTS[entry]
+    if value == 0.0 and zero_ok:
+        call(value)  # a step of length zero
+        return
+    sign = "nonnegative" if zero_ok else "positive"
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{re.escape(name)} must be finite and {sign}, got {value:g}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [True, "0.1", None], ids=["bool", "string", "none"])
+@pytest.mark.parametrize("entry", [entry for entry in POSITIVE_ENTRY_POINTS
+                                   if entry != "TimeGrid-knots"])
+def test_each_real_setting_is_refused_by_name_unless_a_number(no_draws_no_files, entry,
+                                                               value):
+    # True would read as 1.0; knots are data, read as one float array
+    name, _zero_ok, call = POSITIVE_ENTRY_POINTS[entry]
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{re.escape(name)} must be a real number, got "):
+        call(value)
 
 
 # Each entry point that takes a batch of points: the argument its refusal

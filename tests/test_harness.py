@@ -27,11 +27,13 @@ from fbsdefilter.harness import (
     SweepSettings,
     _run_jobs,
     config_from_dict,
+    denominator_rate_study,
     dt_rate_study,
     estimate_recurrence_coefficient,
     fit_loglog_slope,
     kde_rate_study,
     load_config,
+    prediction_rate_study,
     run_experiment,
     run_rate_study,
     save_report,
@@ -160,9 +162,22 @@ class TestRunRateStudy:
         (dt_rate_study, {"step_sizes": (0.1, 0.05, math.nan, 0.0125)},
          "sweep values must be finite and positive, got nan"),
         (kde_rate_study, {"dim": 3}, "kernel-rate study supports dim <= 2"),
+        # a zero step gives zero errors, which no log-log fit can take
+        (prediction_rate_study, {"dt": 0.0}, "^dt must be finite and positive, got 0$"),
+        (prediction_rate_study, {"dt": math.nan}, "^dt must be finite and positive, got nan$"),
+        # refused as dt, not as the horizon of the one-step grid it builds
+        (denominator_rate_study, {"dt": math.nan},
+         "^dt must be finite and positive, got nan$"),
+        (denominator_rate_study, {"dt": -1.0}, "^dt must be finite and positive, got -1$"),
+        (dt_rate_study, {"horizon": math.inf},
+         "^horizon must be finite and positive, got inf$"),
+        (dt_rate_study, {"horizon": math.nan},
+         "^horizon must be finite and positive, got nan$"),
     ], ids=["replications", "grid", "fractional_dim", "bool_dim", "zero_dim",
             "negative_step", "zero_step", "step_short_of_horizon", "step_past_horizon",
-            "nan_step", "dim_3"])
+            "nan_step", "dim_3", "prediction_zero_dt", "prediction_nan_dt",
+            "denominator_nan_dt", "denominator_negative_dt", "dt_inf_horizon",
+            "dt_nan_horizon"])
     def test_study_refuses_before_its_first_job(self, monkeypatch, study, kwargs,
                                                 message):
         def no_jobs(jobs, workers):
@@ -363,6 +378,16 @@ class TestRunExperiment:
             replications=1, threads=1)
         defaults.update(kwargs)
         return ExperimentConfig(**defaults)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("name", list(MODEL_ZOO))
+    def test_every_zoo_model_runs_end_to_end_on_its_defaults(self, tmp_path, name):
+        # the documented defaults, one replication; the right point, which
+        # must be named, aborts doublewell1d at step 2
+        out = tmp_path / name
+        assert run_experiment(ExperimentConfig(model=name, out_dir=str(out))) == \
+            out / "errors_vs_oracle.csv"
+        assert len((out / "errors_vs_oracle.csv").read_text().splitlines()) > 1
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_smoke_run_completes_quickly_with_expected_artifacts(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -228,6 +229,25 @@ class TestInitialLaw:
                              mean0=[0.0, 0.0], cov0=[[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(ConfigurationError, match="diagonal"):
             _linear_gaussian_model("correlated", lin)
+
+
+class TestNoiseShapes:
+    def test_obs_noise_must_match_dim_obs(self):
+        # simulate_truth would broadcast the 1x1 noise into two equal columns
+        with pytest.raises(ConfigurationError,
+                           match=r"^obs_noise must be a \(2, 2\) matrix for dim_obs=2; "
+                                 r"got shape \(1, 1\)$"):
+            dataclasses.replace(get_model("linear1d"), dim_obs=2)
+
+    def test_diffusion_must_have_dim_state_rows(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^diffusion must be a \(2, dim_noise\) matrix for "
+                                 r"dim_state=2; got shape \(1, 1\)$"):
+            dataclasses.replace(get_model("linear1d"), dim_state=2)
+
+    def test_diffusion_must_be_a_matrix(self):
+        with pytest.raises(ConfigurationError, match=r"got shape \(1,\)$"):
+            dataclasses.replace(get_model("linear1d"), diffusion=lambda t: np.ones(1))
 
 
 class TestZooCoefficients:

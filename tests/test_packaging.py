@@ -162,7 +162,8 @@ def _functions(tree: ast.Module):
 # A refusal, by the words of its message, and the one function that raises it.
 RULE_OWNERS = {r"\bsweep\b": "harness.check_sweep_grid",
                r"replications >=": "harness.check_slope_claim",
-               r"dim <= 2": "harness.kde_rate_study"}
+               r"dim <= 2": "harness.kde_rate_study",
+               r"must be finite and": "errors.check_positive"}
 
 
 def test_each_rate_study_rule_has_one_spelling():
